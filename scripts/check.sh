@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Build and run the test suite, optionally under a sanitizer or with the
-# observability layer compiled in.
+# observability layer collecting.
 #
 # Usage:
 #   scripts/check.sh [plain|thread|address|undefined|obs|pool|faults|report|bench|plan|serve|quant|chaos|live] [extra ctest args...]
@@ -9,8 +9,8 @@
 #   scripts/check.sh                 # plain Release build, full suite
 #   scripts/check.sh thread          # ThreadSanitizer build, full suite
 #   scripts/check.sh thread -R Gemm  # tsan build, GEMM/thread-pool tests only
-#   scripts/check.sh obs             # -DTFMAE_OBS=ON + tsan, collection on
-#   scripts/check.sh faults          # -DTFMAE_FAULTS=ON + UBSan + seeded sweep
+#   scripts/check.sh obs             # tsan build, TFMAE_OBS=1 collection on
+#   scripts/check.sh faults          # UBSan build + seeded fault sweep
 #   scripts/check.sh report          # run-telemetry suite + bench-gate smoke
 #   scripts/check.sh bench           # bench sweeps gated against baselines
 #   scripts/check.sh quant           # int8 suites under ASan+UBSan + parity smoke
@@ -18,9 +18,9 @@
 #   scripts/check.sh live            # live-observability suites + scrape smoke
 #
 # The obs mode is the instrumentation soak from docs/OBSERVABILITY.md: the
-# whole tier-1 suite runs with the macros compiled in, TFMAE_OBS=1 so every
-# site actually records, and ThreadSanitizer watching the registry's
-# lock-free shard path.
+# whole tier-1 suite runs with TFMAE_OBS=1 so every instrumentation site
+# actually records, and ThreadSanitizer watching the registry's lock-free
+# shard path.
 #
 # The pool mode is the memory-plane soak from DESIGN.md: the tier-1 suite
 # runs under AddressSanitizer three times — pool on, pool on with the NaN
@@ -31,17 +31,16 @@
 # threads.
 #
 # The faults mode is the resilience soak from docs/RESILIENCE.md: the whole
-# tier-1 suite runs with -DTFMAE_FAULTS=ON (and UndefinedBehaviorSanitizer,
-# since injected failures walk the error paths that rarely run otherwise).
-# Injection points are compiled in but inert, so the suite must pass exactly
-# as in a plain build — that is the first run. The second phase re-runs the
+# tier-1 suite runs under UndefinedBehaviorSanitizer (injected failures walk
+# the error paths that rarely run otherwise) with every injection point
+# inert, so it must pass exactly as in a plain build — that is the first
+# run. The second phase re-runs the
 # fault-injection tests under a sweep of seeds (TFMAE_FAULT_SWEEP_SEED),
 # which the tests use to drive randomized injected I/O failures, NaN losses,
 # and interrupts; training and recovery must survive every seed.
 #
 # The report mode is the run-telemetry gate from docs/OBSERVABILITY.md
-# ("Run ledger & flight recorder"): a -DTFMAE_OBS=ON -DTFMAE_FAULTS=ON
-# Release build runs the ledger / flight-recorder / report / registry-cap
+# ("Run ledger & flight recorder"): the plain Release build runs the ledger / flight-recorder / report / registry-cap
 # suites — including the 1/2/4-thread replay-determinism contract and the
 # injected-fault postmortem — then smoke-tests the benchmark gate against
 # the committed baselines.
@@ -51,9 +50,7 @@
 # injected capture faults, the scrub canary) runs twice — once under
 # AddressSanitizer (arena offsets and lifetimes are hand-planned, so every
 # replay is an ASan workout) and once under ThreadSanitizer (replay
-# dispatches coarse parallel-for chunks over shared arena rows). Both runs
-# compile -DTFMAE_FAULTS=ON and -DTFMAE_OBS=ON so the fallback and ledger
-# cases are active rather than skipped.
+# dispatches coarse parallel-for chunks over shared arena rows).
 #
 # The serve mode is the fleet-serving soak from docs/SERVING.md: the
 # serve suite (concurrent ingest, backpressure, batched-vs-sequential
@@ -68,7 +65,7 @@
 # bitwise identity at 1/2/4 threads, corrupted-newest fallback, shed
 # policies, the sticky degraded latch, drain under concurrent producers,
 # the scoring watchdog, and the serve.* fault points) runs under
-# AddressSanitizer with -DTFMAE_FAULTS=ON and -DTFMAE_OBS=ON, then
+# AddressSanitizer, then
 # scripts/chaos_soak.py kill -9s a live tfmae_serve mid-run three times
 # (one seed per thread count), restores each from its newest valid
 # snapshot, re-feeds the tail, and fails unless the union of the killed
@@ -79,15 +76,17 @@
 # ("Live endpoints & SLOs"): the exporter / HTTP endpoint / stage-timeline /
 # SLO / drift suites run under AddressSanitizer (socket buffers, reservoir
 # and ring lifetimes) and ThreadSanitizer (the scrape thread reads the
-# registry while scoring threads record into it), both with -DTFMAE_OBS=ON
-# and -DTFMAE_FAULTS=ON so every macro site is live. Then
+# registry while scoring threads record into it), both with TFMAE_OBS=1 so
+# every macro site records. Then
 # scripts/live_smoke.py drives a 256-stream tfmae_serve with
-# --metrics_port=0, scrapes /metrics mid-load, validates the exposition
+# --metrics_port=0 (which turns collection on by itself), scrapes /metrics
+# mid-load, checks the tfmae_serve_* families are there, validates the
+# exposition
 # format and the stage-sum/end-to-end reconciliation, and asserts /healthz
 # flips to 503 during drain.
 #
 # The bench mode is the performance gate from docs/OBSERVABILITY.md
-# ("Benchmark gating"): it runs the bench_micro JSON sweeps in the same
+# ("Benchmark gating"): it runs the bench_micro JSON sweeps in the plain
 # build and fails if any tracked relative metric (speedup ratios,
 # allocation reduction, bitwise-determinism booleans) regresses past the
 # tolerance in scripts/bench_gate.py.
@@ -96,165 +95,135 @@
 # suites (kernel ISA/thread-count bitwise identity, QuantSpec container
 # round-trips, calibration edge cases, int8 plan activation and fallback —
 # including the injected-fault fp32 demotion) run under AddressSanitizer
-# and again under UndefinedBehaviorSanitizer, both with -DTFMAE_FAULTS=ON
-# and -DTFMAE_OBS=ON so the fallback and ledger cases are active. Then the
+# and again under UndefinedBehaviorSanitizer. Then the
 # ASan build runs a 3-profile F1-parity smoke (`bench_micro
 # --quant_json ... --quant_profiles=3`), which fails on its own if int8 F1
 # drifts past the tolerance or int8 scores diverge across thread counts.
 # The full 5-profile parity sweep with the 1.8x speedup floor runs in
 # bench mode, where timings are unsanitized.
 #
-# Each mode builds into its own directory (build-check-<mode>) so sanitized
-# and plain object files never mix.
+# Every mode reuses one build per sanitizer, build-check-<sanitizer> for
+# plain, address, thread and undefined, so sanitized and plain object files
+# never mix and no configuration is built twice.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-SAN="${1:-plain}"
+MODE="${1:-plain}"
 shift || true
 
-case "$SAN" in
-  plain)   SAN_FLAG="" ;;
-  thread|address|undefined) SAN_FLAG="-DTFMAE_SANITIZE=$SAN" ;;
-  obs)     SAN_FLAG="-DTFMAE_OBS=ON -DTFMAE_SANITIZE=thread" ;;
-  pool)    SAN_FLAG="-DTFMAE_SANITIZE=address" ;;
-  faults)  SAN_FLAG="-DTFMAE_FAULTS=ON -DTFMAE_OBS=ON -DTFMAE_SANITIZE=undefined" ;;
-  report|bench) SAN_FLAG="-DTFMAE_OBS=ON -DTFMAE_FAULTS=ON" ;;
-  plan|serve|quant|chaos|live) SAN_FLAG="" ;;
+case "$MODE" in
+  plain|thread|address|undefined|obs|pool|faults|report|bench|plan|serve|quant|chaos|live) ;;
   *)
     echo "usage: $0 [plain|thread|address|undefined|obs|pool|faults|report|bench|plan|serve|quant|chaos|live] [ctest args...]" >&2
     exit 2
     ;;
 esac
 
-# configure_and_build DIR [cmake flags...] — one CMake configure + build per
-# mode/sanitizer combination, each into its own directory so sanitized and
-# plain object files never mix.
-configure_and_build() {
-  local dir="$1"
-  shift
-  cmake -B "$dir" -S . "$@" >/dev/null
-  cmake --build "$dir" -j "$(nproc)"
+# build SAN — configure and build build-check-SAN (SAN = plain, address,
+# thread or undefined) and set BUILD_DIR to it.
+build() {
+  BUILD_DIR="build-check-$1"
+  local flag=""
+  [ "$1" = plain ] || flag="-DTFMAE_SANITIZE=$1"
+  cmake -B "$BUILD_DIR" -S . $flag >/dev/null
+  cmake --build "$BUILD_DIR" -j "$(nproc)"
 }
 
-if [ "$SAN" = "plan" ]; then
-  for san in address thread; do
-    BUILD_DIR="build-check-plan-$san"
-    configure_and_build "$BUILD_DIR" \
-      -DTFMAE_OBS=ON -DTFMAE_FAULTS=ON "-DTFMAE_SANITIZE=$san"
-    echo "== plan suite: $san sanitizer, capture/replay/fallback tests =="
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -R 'InferencePlan' "$@"
-  done
-  exit 0
-fi
-
-if [ "$SAN" = "serve" ]; then
-  for san in address thread; do
-    BUILD_DIR="build-check-serve-$san"
-    configure_and_build "$BUILD_DIR" \
-      -DTFMAE_OBS=ON -DTFMAE_FAULTS=ON "-DTFMAE_SANITIZE=$san"
-    echo "== serve suite: $san sanitizer, fleet-server tests =="
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -R 'Serve' "$@"
-  done
-  echo "== serve smoke: 256 streams, 30 seconds, batched == sequential =="
-  "build-check-serve-address/tools/tfmae_serve" \
-    --streams=256 --threads=2 --seconds=30 --verify
-  exit 0
-fi
-
-if [ "$SAN" = "chaos" ]; then
-  BUILD_DIR="build-check-chaos"
-  configure_and_build "$BUILD_DIR" \
-    -DTFMAE_OBS=ON -DTFMAE_FAULTS=ON -DTFMAE_SANITIZE=address
-  echo "== serve resilience suite: ASan, snapshot/shed/watchdog/fault tests =="
-  ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'FleetSnapshot|FleetShed|FleetDrain|FleetFault|StreamStateCodec' "$@"
-  echo "== chaos soak: kill -9 mid-run, restore, union-of-logs bitwise =="
-  python3 scripts/chaos_soak.py --serve-bin "$BUILD_DIR/tools/tfmae_serve"
-  exit 0
-fi
-
-if [ "$SAN" = "live" ]; then
-  for san in address thread; do
-    BUILD_DIR="build-check-live-$san"
-    configure_and_build "$BUILD_DIR" \
-      -DTFMAE_OBS=ON -DTFMAE_FAULTS=ON "-DTFMAE_SANITIZE=$san"
-    echo "== live suite: $san sanitizer, exporter/endpoint/SLO/drift tests =="
-    TFMAE_OBS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-      -R 'PromExport|HttpEndpoint|ServeObs|RegistryOverflow|HistogramQuantile' "$@"
-  done
-  echo "== live smoke: 256 streams, mid-load scrape, drained /healthz == 503 =="
-  TFMAE_OBS=1 python3 scripts/live_smoke.py \
-    --serve-bin "build-check-live-address/tools/tfmae_serve"
-  exit 0
-fi
-
-if [ "$SAN" = "quant" ]; then
-  for san in address undefined; do
-    BUILD_DIR="build-check-quant-$san"
-    configure_and_build "$BUILD_DIR" \
-      -DTFMAE_OBS=ON -DTFMAE_FAULTS=ON "-DTFMAE_SANITIZE=$san"
-    echo "== quant suite: $san sanitizer, kernel/spec/calibration/plan tests =="
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -R 'Quant' "$@"
-  done
-  echo "== quant parity smoke: 3 dataset profiles, int8 vs fp32 F1 =="
-  "build-check-quant-address/bench/bench_micro" \
-    --quant_json="build-check-quant-address/quant_smoke.json" \
-    --quant_profiles=3
-  exit 0
-fi
-
-BUILD_DIR="build-check-$SAN"
-
-configure_and_build "$BUILD_DIR" $SAN_FLAG
-if [ "$SAN" = "obs" ]; then
-  TFMAE_OBS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
-elif [ "$SAN" = "faults" ]; then
-  echo "== faults suite: UBSan, injection points compiled in but inert =="
-  ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
-  for seed in 1 7 1234; do
-    echo "== faults sweep: injected failures, seed $seed =="
-    TFMAE_FAULT_SWEEP_SEED="$seed" \
-      ctest --test-dir "$BUILD_DIR" --output-on-failure \
-      -R 'FaultRegistry|FaultInjection|NumericGuard' "$@"
-  done
-elif [ "$SAN" = "report" ]; then
-  echo "== telemetry suite: ledger, flight recorder, report, registry caps =="
-  ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'Ledger|FlightRecorder|Report|RegistryOverflow|KsDistance|Obs' "$@"
-  echo "== bench gate smoke: committed baselines vs themselves =="
-  python3 scripts/bench_gate.py --smoke
-elif [ "$SAN" = "bench" ]; then
-  OUT_DIR="$BUILD_DIR/bench_sweeps"
-  mkdir -p "$OUT_DIR"
-  echo "== bench sweep: tensor backend =="
-  "$BUILD_DIR/bench/bench_micro" \
-    --tensor_backend_json="$OUT_DIR/tensor_backend.json"
-  echo "== bench sweep: memory plane =="
-  "$BUILD_DIR/bench/bench_micro" \
-    --memory_plane_json="$OUT_DIR/memory_plane.json"
-  echo "== bench sweep: resilience =="
-  "$BUILD_DIR/bench/bench_micro" \
-    --resilience_json="$OUT_DIR/resilience.json"
-  echo "== bench sweep: inference plan =="
-  "$BUILD_DIR/bench/bench_micro" \
-    --inference_plan_json="$OUT_DIR/inference_plan.json"
-  echo "== bench sweep: fleet serving =="
-  "$BUILD_DIR/bench/bench_micro" \
-    --serving_json="$OUT_DIR/serving.json"
-  echo "== bench sweep: int8 quantization (5-profile F1 parity) =="
-  "$BUILD_DIR/bench/bench_micro" \
-    --quant_json="$OUT_DIR/quant.json"
-  echo "== bench gate: sweeps vs bench_results/baselines =="
-  python3 scripts/bench_gate.py --current-dir "$OUT_DIR"
-elif [ "$SAN" = "pool" ]; then
-  echo "== pool suite: ASan, TFMAE_POOL=1 =="
-  TFMAE_POOL=1 ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
-  echo "== pool suite: ASan, TFMAE_POOL=1 TFMAE_POOL_SCRUB=1 =="
-  TFMAE_POOL=1 TFMAE_POOL_SCRUB=1 \
+case "$MODE" in
+  plain|thread|address|undefined)
+    build "$MODE"
     ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
-  echo "== pool suite: ASan, TFMAE_POOL=0 =="
-  TFMAE_POOL=0 ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
-else
-  ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
-fi
+    ;;
+  obs)
+    build thread
+    TFMAE_OBS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
+    ;;
+  pool)
+    build address
+    echo "== pool suite: ASan, TFMAE_POOL=1 =="
+    TFMAE_POOL=1 ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
+    echo "== pool suite: ASan, TFMAE_POOL=1 TFMAE_POOL_SCRUB=1 =="
+    TFMAE_POOL=1 TFMAE_POOL_SCRUB=1 \
+      ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
+    echo "== pool suite: ASan, TFMAE_POOL=0 =="
+    TFMAE_POOL=0 ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
+    ;;
+  faults)
+    build undefined
+    echo "== faults suite: UBSan, injection points inert =="
+    ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
+    for seed in 1 7 1234; do
+      echo "== faults sweep: injected failures, seed $seed =="
+      TFMAE_FAULT_SWEEP_SEED="$seed" \
+        ctest --test-dir "$BUILD_DIR" --output-on-failure \
+        -R 'FaultRegistry|FaultInjection|NumericGuard' "$@"
+    done
+    ;;
+  report)
+    build plain
+    echo "== telemetry suite: ledger, flight recorder, report, registry caps =="
+    ctest --test-dir "$BUILD_DIR" --output-on-failure \
+      -R 'Ledger|FlightRecorder|Report|RegistryOverflow|KsDistance|Obs' "$@"
+    echo "== bench gate smoke: committed baselines vs themselves =="
+    python3 scripts/bench_gate.py --smoke
+    ;;
+  bench)
+    build plain
+    OUT_DIR="$BUILD_DIR/bench_sweeps"
+    mkdir -p "$OUT_DIR"
+    for sweep in tensor_backend memory_plane resilience inference_plan \
+                 serving quant; do
+      echo "== bench sweep: $sweep =="
+      "$BUILD_DIR/bench/bench_micro" "--${sweep}_json=$OUT_DIR/$sweep.json"
+    done
+    echo "== bench gate: sweeps vs bench_results/baselines =="
+    python3 scripts/bench_gate.py --current-dir "$OUT_DIR"
+    ;;
+  plan)
+    for san in address thread; do
+      build "$san"
+      echo "== plan suite: $san sanitizer, capture/replay/fallback tests =="
+      ctest --test-dir "$BUILD_DIR" --output-on-failure -R 'InferencePlan' "$@"
+    done
+    ;;
+  serve)
+    for san in address thread; do
+      build "$san"
+      echo "== serve suite: $san sanitizer, fleet-server tests =="
+      ctest --test-dir "$BUILD_DIR" --output-on-failure -R 'Serve' "$@"
+    done
+    echo "== serve smoke: 256 streams, 30 seconds, batched == sequential =="
+    build-check-address/tools/tfmae_serve \
+      --streams=256 --threads=2 --seconds=30 --verify
+    ;;
+  chaos)
+    build address
+    echo "== serve resilience suite: ASan, snapshot/shed/watchdog/fault tests =="
+    ctest --test-dir "$BUILD_DIR" --output-on-failure \
+      -R 'FleetSnapshot|FleetShed|FleetDrain|FleetFault|StreamStateCodec' "$@"
+    echo "== chaos soak: kill -9 mid-run, restore, union-of-logs bitwise =="
+    python3 scripts/chaos_soak.py --serve-bin "$BUILD_DIR/tools/tfmae_serve"
+    ;;
+  live)
+    for san in address thread; do
+      build "$san"
+      echo "== live suite: $san sanitizer, exporter/endpoint/SLO/drift tests =="
+      TFMAE_OBS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
+        -R 'PromExport|HttpEndpoint|ServeObs|RegistryOverflow|HistogramQuantile' "$@"
+    done
+    echo "== live smoke: 256 streams, mid-load scrape, drained /healthz == 503 =="
+    python3 scripts/live_smoke.py \
+      --serve-bin build-check-address/tools/tfmae_serve
+    ;;
+  quant)
+    for san in address undefined; do
+      build "$san"
+      echo "== quant suite: $san sanitizer, kernel/spec/calibration/plan tests =="
+      ctest --test-dir "$BUILD_DIR" --output-on-failure -R 'Quant' "$@"
+    done
+    echo "== quant parity smoke: 3 dataset profiles, int8 vs fp32 F1 =="
+    build-check-address/bench/bench_micro \
+      --quant_json=build-check-address/quant_smoke.json --quant_profiles=3
+    ;;
+esac

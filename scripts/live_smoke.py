@@ -8,7 +8,9 @@ sees:
 
  1. /healthz answers 200 ("ok" or "degraded") while the server is live.
  2. /statusz is valid JSON carrying the ServeStats payload.
- 3. /metrics mid-load is well-formed Prometheus text exposition:
+ 3. /metrics mid-load carries the `tfmae_serve_*` families with no
+    TFMAE_OBS in the environment (`--metrics_port` turns collection on) and
+    is well-formed Prometheus text exposition:
     `tfmae_`-prefixed names, HELP/TYPE per family, cumulative monotone
     `_bucket{le=...}` series whose `+Inf` bucket equals `_count`.
  4. The stage-attributed timelines reconcile: the four per-stage histogram
@@ -22,7 +24,7 @@ The scrape side is a plain HTTP client (urllib) so the smoke exercises the
 listener's real wire framing, not a test double.
 
 Usage:
-  TFMAE_OBS=1 scripts/live_smoke.py --serve-bin build/tools/tfmae_serve
+  scripts/live_smoke.py --serve-bin build/tools/tfmae_serve
 """
 
 import argparse
@@ -107,6 +109,16 @@ def histogram(samples, family):
     return total, count, buckets
 
 
+def check_serve_families(samples):
+    """-> the tfmae_serve_* families in the scrape; fails if there are none."""
+    families = sorted({re.sub(r"_(bucket|sum|count|total)$", "", name)
+                       for name in samples if name.startswith("tfmae_serve_")})
+    if not families:
+        raise SystemExit("live_smoke: /metrics carries no tfmae_serve_* "
+                         "families — --metrics_port did not turn collection on")
+    return families
+
+
 def check_stage_reconciliation(samples):
     stages = ["queue", "batch", "score", "result"]
     sums = {}
@@ -154,7 +166,8 @@ def main():
     parser.add_argument("--drain-linger-ms", type=int, default=4000)
     opts = parser.parse_args()
 
-    env = dict(os.environ, TFMAE_OBS="1")
+    # Collection must come from --metrics_port alone, not the environment.
+    env = {k: v for k, v in os.environ.items() if k != "TFMAE_OBS"}
     cmd = [
         opts.serve_bin,
         f"--streams={opts.streams}",
@@ -213,8 +226,10 @@ def main():
         if status != 200:
             raise SystemExit(f"live_smoke: /metrics = {status}")
         samples = parse_exposition(body)
+        families = check_serve_families(samples)
         windows, stage_sum = check_stage_reconciliation(samples)
-        print(f"live_smoke: /metrics ok — {len(samples)} series, stage "
+        print(f"live_smoke: /metrics ok — {len(samples)} series, "
+              f"{len(families)} tfmae_serve_* families, stage "
               f"timelines reconcile over {int(windows)} windows "
               f"({int(stage_sum)} ns total)")
 

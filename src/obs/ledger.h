@@ -37,11 +37,9 @@
 // per-line CRCs, which cover them); two runs of the same (data, config,
 // seed) produce byte-identical canonical streams at any TFMAE_NUM_THREADS.
 //
-// Gating matches the instrumentation macros: the Ledger class itself is
-// always compiled (tools and tests link it in any build), but the emission
-// sites inside TfmaeDetector::Fit/Score, the streaming loop, and the
-// numeric guard are compiled out unless -DTFMAE_OBS=ON and further gated at
-// runtime on a ledger actually being open — see LedgerActive().
+// The emission sites inside TfmaeDetector::Fit/Score, the streaming loop,
+// and the numeric guard are gated at run time on a ledger actually being
+// open — see LedgerActive().
 #ifndef TFMAE_OBS_LEDGER_H_
 #define TFMAE_OBS_LEDGER_H_
 
@@ -57,8 +55,8 @@
 
 namespace tfmae::obs {
 
-/// Compile-time switches baked into this binary, as a stable string for the
-/// manifest (e.g. "obs=on,faults=off").
+/// Build switches baked into this binary, as a stable string for the
+/// manifest (e.g. "assertions=off").
 std::string BuildFlagsString();
 
 /// JSON string escaping for event text values. Ledger::Event writes field
@@ -126,8 +124,8 @@ std::optional<LedgerFile> ReadLedger(const std::string& path,
 std::string CanonicalEventStream(const LedgerFile& file);
 
 /// The run ledger writer. All emitters are thread-safe and no-ops while the
-/// ledger is closed, so instrumented code never checks state first (the
-/// compile-time gate lives at the call sites; see LedgerActive()).
+/// ledger is closed, so instrumented code never checks state first (call
+/// sites that build event text first gate on LedgerActive()).
 class Ledger {
  public:
   Ledger() = default;
@@ -203,17 +201,9 @@ class Ledger {
   std::atomic_bool open_{false};
 };
 
-/// Compile-time + runtime gate for the instrumented emission sites: false
-/// unless this build carries instrumentation (-DTFMAE_OBS=ON) AND the
-/// process ledger is open. In a default build the surrounding `if` folds
-/// away — the hot paths carry zero ledger code, matching the macro contract.
-inline bool LedgerActive() {
-#if defined(TFMAE_OBS_ENABLED)
-  return Ledger::Instance().IsOpen();
-#else
-  return false;
-#endif
-}
+/// Gate for the instrumented emission sites: true iff the process ledger is
+/// open (one relaxed atomic load).
+inline bool LedgerActive() { return Ledger::Instance().IsOpen(); }
 
 }  // namespace tfmae::obs
 

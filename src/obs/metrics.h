@@ -21,9 +21,6 @@
 // Naming contract (see docs/OBSERVABILITY.md): `subsystem.op.stat`, e.g.
 // `tensor.gemm.flops`, `core.streaming.push.time_ns`. Registration is
 // idempotent — looking up an existing name returns the existing id.
-//
-// The registry is always compiled; only the instrumentation macros in
-// obs/trace.h compile away in non-observability builds.
 #ifndef TFMAE_OBS_METRICS_H_
 #define TFMAE_OBS_METRICS_H_
 

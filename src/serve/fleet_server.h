@@ -197,7 +197,7 @@ struct ScoredWindow {
 };
 
 /// Cumulative serving counters (always available; the obs registry mirrors
-/// them as `serve.*` metrics in observability builds).
+/// them as `serve.*` metrics while collection is on).
 struct ServeStats {
   std::int64_t streams = 0;
   std::int64_t rows_pushed = 0;        ///< rows absorbed into a stream
@@ -230,7 +230,7 @@ struct ServeStats {
   double p95_window_ns = 0.0;
   double p99_window_ns = 0.0;
   // Stage-attributed timeline sums (ns), mirrored by the `serve.stage.*`
-  // histograms in observability builds. Queue is each window's own
+  // histograms while collection is on. Queue is each window's own
   // admit->pop wait; batch/score/result are the window's share of its
   // batch's prepare/score/commit phases. By construction
   //   stage_total_ns == stage_queue_ns + stage_batch_ns

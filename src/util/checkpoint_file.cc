@@ -80,7 +80,8 @@ bool ByteReader::Raw(void* out, std::size_t size) {
     ok_ = false;
     return false;
   }
-  std::memcpy(out, data_ + pos_, size);
+  // An empty vector's data() may be null, which memcpy must never get.
+  if (size > 0) std::memcpy(out, data_ + pos_, size);
   pos_ += size;
   return true;
 }

@@ -1,6 +1,8 @@
 #include "util/fault.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -23,6 +25,9 @@ struct Point {
 struct State {
   std::mutex mu;
   std::map<std::string, Point> points;
+  // points.size(), written under mu; read without it by ShouldInject's
+  // fast path.
+  std::atomic<std::size_t> configured{0};
 };
 
 State& GetState() {
@@ -87,6 +92,7 @@ bool TryConfigure(const std::string& spec, std::uint64_t seed,
   State& state = GetState();
   std::lock_guard<std::mutex> lock(state.mu);
   state.points = std::move(parsed);
+  state.configured.store(state.points.size(), std::memory_order_relaxed);
   return true;
 }
 
@@ -101,7 +107,16 @@ void ConfigureFromEnv() {
   if (spec == nullptr || spec[0] == '\0') return;
   std::uint64_t seed = 1;
   if (const char* seed_env = std::getenv("TFMAE_FAULTS_SEED")) {
-    seed = std::strtoull(seed_env, nullptr, 10);
+    // strtoull alone accepts "", "12x" and "-1"; a typo'd seed must not
+    // silently run a different sweep.
+    char* end = nullptr;
+    errno = 0;
+    seed = std::strtoull(seed_env, &end, 10);
+    TFMAE_CHECK_MSG(seed_env[0] >= '0' && seed_env[0] <= '9' &&
+                        *end == '\0' && errno != ERANGE,
+                    std::string("TFMAE_FAULTS_SEED must be a decimal uint64, "
+                                "got '") +
+                        seed_env + "'");
   }
   Configure(spec, seed);
   Log(LogLevel::kWarning,
@@ -112,10 +127,12 @@ void Clear() {
   State& state = GetState();
   std::lock_guard<std::mutex> lock(state.mu);
   state.points.clear();
+  state.configured.store(0, std::memory_order_relaxed);
 }
 
 bool ShouldInject(const char* point) {
   State& state = GetState();
+  if (state.configured.load(std::memory_order_relaxed) == 0) return false;
   std::lock_guard<std::mutex> lock(state.mu);
   auto it = state.points.find(point);
   if (it == state.points.end()) return false;

@@ -3,10 +3,9 @@
 //
 // Production code marks its recoverable failure sites with
 // `TFMAE_FAULT("point.name")`, which evaluates to true when that point is
-// configured to fire. In a default build (-DTFMAE_FAULTS=OFF) the macro is
-// the literal `false`: every site folds away and the binary carries zero
-// fault code. With -DTFMAE_FAULTS=ON the registry decides, driven entirely
-// by an explicit seed so sweeps are reproducible.
+// configured to fire. Every build carries the sites; nothing fires until a
+// process configures the registry, which decides driven entirely by an
+// explicit seed so sweeps are reproducible.
 //
 // Spec grammar (TFMAE_FAULTS environment variable or Configure()):
 //
@@ -28,9 +27,10 @@
 // visible in --obs_json output alongside the recovery counters they provoke
 // (util must not depend on obs, hence the pull model).
 //
-// Points are checked from the training loop and serialization paths only
-// (single-threaded call sites); the registry still takes a mutex so stray
-// multi-threaded checks are safe, merely serialized.
+// Points are checked on hot paths too (every fleet Push, scoring batch and
+// streaming row), so an empty registry answers after one relaxed atomic
+// load. Once any point is configured, checks take a mutex: multi-threaded
+// checks are safe, merely serialized.
 #ifndef TFMAE_UTIL_FAULT_H_
 #define TFMAE_UTIL_FAULT_H_
 
@@ -40,16 +40,6 @@
 #include <vector>
 
 namespace tfmae::fault {
-
-/// True in -DTFMAE_FAULTS=ON builds (the only builds where TFMAE_FAULT
-/// sites consult the registry).
-constexpr bool CompiledIn() {
-#if defined(TFMAE_FAULTS_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
 
 /// Replaces the active configuration with `spec` (see grammar above).
 /// An empty spec disables all points. CHECK-fails on a malformed spec —
@@ -64,18 +54,20 @@ bool TryConfigure(const std::string& spec, std::uint64_t seed = 1,
                   std::string* error = nullptr);
 
 /// Configure() from the TFMAE_FAULTS / TFMAE_FAULTS_SEED environment
-/// variables. Never called automatically: binaries opt in (benches and
-/// examples via their flag glue, tests via ScopedFaults), so an exported
-/// TFMAE_FAULTS cannot perturb processes that did not ask for it.
+/// variables. CHECK-fails on a malformed spec or a seed that is not a
+/// decimal uint64, like Configure(). Never called automatically: binaries
+/// opt in (benches and examples via their flag glue, tests via
+/// ScopedFaults), so an exported TFMAE_FAULTS cannot perturb processes that
+/// did not ask for it.
 void ConfigureFromEnv();
 
 /// Removes every configured point.
 void Clear();
 
 /// Decision function behind TFMAE_FAULT. Returns true when `point` is
-/// configured and its trigger fires for this check. Unconfigured points
-/// return false and cost one mutex acquisition + map lookup (fault builds
-/// are test builds; the default build never calls this).
+/// configured and its trigger fires for this check. While nothing is
+/// configured it returns false after one relaxed atomic load, taking no
+/// lock; otherwise it costs one mutex acquisition + map lookup.
 bool ShouldInject(const char* point);
 
 /// Times `point` fired / was checked since its configuration.
@@ -101,10 +93,6 @@ class ScopedFaults {
 
 }  // namespace tfmae::fault
 
-#if defined(TFMAE_FAULTS_ENABLED)
 #define TFMAE_FAULT(point) (::tfmae::fault::ShouldInject(point))
-#else
-#define TFMAE_FAULT(point) (false)
-#endif
 
 #endif  // TFMAE_UTIL_FAULT_H_

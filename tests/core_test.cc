@@ -3,6 +3,7 @@
 // stop-gradient semantics, ablation variants, scoring, and the detector's
 // end-to-end behaviour on planted anomalies.
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -146,6 +147,10 @@ struct AblationCase {
   const char* name;
   void (*apply)(TfmaeConfig*);
 };
+
+// Without a printer gtest lists the case by its raw bytes (two pointers), so
+// the discovered ctest names would change with every process's address layout.
+void PrintTo(const AblationCase& c, std::ostream* os) { *os << c.name; }
 
 class AblationTest : public ::testing::TestWithParam<AblationCase> {};
 

@@ -1,8 +1,7 @@
 // Tests for the resilience plane's failure paths: the deterministic fault
-// registry itself, the numeric-health guard, and — in -DTFMAE_FAULTS=ON
-// builds — training/serialization/streaming recovery under injected
-// failures, including the seeded sweep driven by scripts/check.sh faults
-// (TFMAE_FAULT_SWEEP_SEED).
+// registry itself, the numeric-health guard, and training/serialization/
+// streaming recovery under injected failures, including the seeded sweep
+// driven by scripts/check.sh faults (TFMAE_FAULT_SWEEP_SEED).
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -26,8 +25,7 @@ namespace tfmae {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Fault registry (runs in every build: ShouldInject is always compiled; only
-// the TFMAE_FAULT macro sites are gated).
+// Fault registry.
 
 TEST(FaultRegistryTest, UnconfiguredPointsNeverFire) {
   fault::Clear();
@@ -103,6 +101,66 @@ TEST(FaultRegistryDeathTest, MalformedSpecDies) {
   EXPECT_DEATH(fault::Configure("no_colon_here"), "");
   EXPECT_DEATH(fault::Configure("p:not_a_number"), "");
   EXPECT_DEATH(fault::Configure("p:1.5"), "");
+}
+
+TEST(FaultRegistryTest, ClearedPointsNeverFireAndLeaveNoCounts) {
+  // Configure -> clear -> check, clearing both ways: the lock-free
+  // empty-registry path must not resurrect a cleared point or keep its
+  // counters.
+  const std::vector<void (*)()> clears = {[] { fault::Clear(); },
+                                          [] { fault::Configure(""); }};
+  for (const auto clear : clears) {
+    fault::Configure("always.point:1.0,once.point:#1");
+    EXPECT_TRUE(fault::ShouldInject("always.point"));
+    EXPECT_TRUE(fault::ShouldInject("once.point"));
+    clear();
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_FALSE(fault::ShouldInject("always.point"));
+      EXPECT_FALSE(fault::ShouldInject("once.point"));
+    }
+    EXPECT_EQ(fault::CheckCount("always.point"), 0u);
+    EXPECT_EQ(fault::InjectedCount("always.point"), 0u);
+    EXPECT_EQ(fault::CheckCount("once.point"), 0u);
+    EXPECT_TRUE(fault::AllCounts().empty());
+  }
+
+  // Reconfiguring after a clear starts every point's counts from zero.
+  fault::ScopedFaults faults("once.point:#1");
+  EXPECT_TRUE(fault::ShouldInject("once.point"));
+  EXPECT_FALSE(fault::ShouldInject("always.point"));
+  EXPECT_EQ(fault::CheckCount("once.point"), 1u);
+  EXPECT_EQ(fault::CheckCount("always.point"), 0u);
+}
+
+TEST(FaultRegistryTest, ConfigureFromEnvUsesTheSeed) {
+  const auto decisions = [] {
+    std::vector<bool> out;
+    for (int i = 0; i < 64; ++i) out.push_back(fault::ShouldInject("p"));
+    fault::Clear();
+    return out;
+  };
+  ::setenv("TFMAE_FAULTS", "p:0.5", 1);
+  ::setenv("TFMAE_FAULTS_SEED", "42", 1);
+  fault::ConfigureFromEnv();
+  const std::vector<bool> from_env = decisions();
+  ::unsetenv("TFMAE_FAULTS");
+  ::unsetenv("TFMAE_FAULTS_SEED");
+  fault::Configure("p:0.5", 42);
+  EXPECT_EQ(from_env, decisions());
+}
+
+TEST(FaultRegistryDeathTest, MalformedEnvSeedDies) {
+  for (const char* seed : {"abc", "12x", "", "-1", " 7",
+                           "99999999999999999999999"}) {
+    EXPECT_DEATH(
+        {
+          ::setenv("TFMAE_FAULTS", "p:#1", 1);
+          ::setenv("TFMAE_FAULTS_SEED", seed, 1);
+          fault::ConfigureFromEnv();
+        },
+        "TFMAE_FAULTS_SEED")
+        << "seed '" << seed << "'";
+  }
 }
 
 TEST(FaultRegistryTest, TryConfigureAcceptsTheFullGrammar) {
@@ -221,7 +279,7 @@ TEST(NumericGuardTest, GivesUpAfterMaxConsecutiveSkips) {
 }
 
 // ---------------------------------------------------------------------------
-// Injection through real subsystems (fault builds only).
+// Injection through real subsystems.
 
 core::TfmaeConfig TinyConfig() {
   core::TfmaeConfig config;
@@ -251,15 +309,7 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-#define SKIP_WITHOUT_FAULT_BUILD()                                       \
-  do {                                                                   \
-    if (!fault::CompiledIn()) {                                          \
-      GTEST_SKIP() << "fault injection points require -DTFMAE_FAULTS=ON"; \
-    }                                                                    \
-  } while (0)
-
 TEST(FaultInjectionTest, InjectedNanLossIsSkippedAndTrainingRecovers) {
-  SKIP_WITHOUT_FAULT_BUILD();
   fault::ScopedFaults faults("train.nan_loss:#5");
   core::TfmaeDetector detector(TinyConfig());
   detector.Fit(TinySeries());
@@ -273,7 +323,6 @@ TEST(FaultInjectionTest, InjectedNanLossIsSkippedAndTrainingRecovers) {
 }
 
 TEST(FaultInjectionTest, InjectedCheckpointWriteFailureDoesNotKillTraining) {
-  SKIP_WITHOUT_FAULT_BUILD();
   const std::string dir = FreshDir("tfmae_fault_io");
   fault::ScopedFaults faults("io.checkpoint_write:#1");
   core::FitOptions options;
@@ -290,7 +339,6 @@ TEST(FaultInjectionTest, InjectedCheckpointWriteFailureDoesNotKillTraining) {
 }
 
 TEST(FaultInjectionTest, InjectedInterruptThenResumeIsBitwiseIdentical) {
-  SKIP_WITHOUT_FAULT_BUILD();
   const data::TimeSeries train = TinySeries();
   core::TfmaeDetector reference(TinyConfig());
   reference.Fit(train);
@@ -318,7 +366,6 @@ TEST(FaultInjectionTest, InjectedInterruptThenResumeIsBitwiseIdentical) {
 }
 
 TEST(FaultInjectionTest, InjectedCsvFaultSurfacesLineDiagnostic) {
-  SKIP_WITHOUT_FAULT_BUILD();
   const std::string path = ::testing::TempDir() + "/fault_rows.csv";
   data::TimeSeries series = data::TimeSeries::Zeros(5, 2);
   ASSERT_TRUE(data::SaveCsv(series, path));
@@ -345,7 +392,6 @@ class TailDetector : public core::AnomalyDetector {
 };
 
 TEST(FaultInjectionTest, InjectedStreamCorruptionIsImputedNotFatal) {
-  SKIP_WITHOUT_FAULT_BUILD();
   fault::ScopedFaults faults("streaming.corrupt_value:0.2", 3);
   TailDetector detector;
   core::StreamingOptions options;
@@ -370,7 +416,6 @@ TEST(FaultInjectionTest, InjectedStreamCorruptionIsImputedNotFatal) {
 // injection pattern; training plus its recovery machinery must survive
 // every seed without aborting or producing non-finite statistics.
 TEST(FaultInjectionTest, SweepSeedSurvivesRandomizedFaults) {
-  SKIP_WITHOUT_FAULT_BUILD();
   std::uint64_t seed = 1;
   if (const char* env = std::getenv("TFMAE_FAULT_SWEEP_SEED")) {
     seed = std::strtoull(env, nullptr, 10);

@@ -1,6 +1,6 @@
 // Tests for the observability layer (src/obs): registry semantics, the
-// determinism contract (bitwise-stable dumps at any thread count), the
-// exporters, and the compiled-out macro path.
+// determinism contract (bitwise-stable dumps at any thread count), and the
+// exporters.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -14,32 +14,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
-
-// Materialize the compiled-out macro expansions in this translation unit,
-// regardless of how the tree was built, to prove they are true no-ops:
-// valid in constant evaluation, so they cannot touch the registry, take a
-// lock, or read a clock.
-#define TFMAE_OBS_FORCE_DISABLED 1
-#include "obs/obs_macros.h"
-
-namespace {
-
-constexpr bool DisabledMacrosAreNoOps() {
-  TFMAE_TRACE("obs_test.constexpr.site");
-  TFMAE_COUNTER_ADD("obs_test.constexpr.counter", 42);
-  TFMAE_HISTOGRAM_RECORD("obs_test.constexpr.hist", 7);
-  TFMAE_GAUGE_SET("obs_test.constexpr.gauge", -3);
-  TFMAE_GAUGE_MAX("obs_test.constexpr.gauge", 9);
-  return true;
-}
-static_assert(DisabledMacrosAreNoOps(),
-              "disabled instrumentation macros must be constant-evaluable");
-
-}  // namespace
-
-// Restore the build's real macro definitions for the rest of the file.
-#undef TFMAE_OBS_FORCE_DISABLED
-#include "obs/obs_macros.h"
 
 namespace tfmae::obs {
 namespace {
@@ -218,7 +192,6 @@ TEST(ObsExportTest, JsonDumpHasStableSections) {
   std::ostringstream json;
   DumpJsonTo(json);
   const std::string s = json.str();
-  EXPECT_NE(s.find("\"obs_compiled\""), std::string::npos);
   EXPECT_NE(s.find("\"counters\""), std::string::npos);
   EXPECT_NE(s.find("\"gauges\""), std::string::npos);
   EXPECT_NE(s.find("\"histograms\""), std::string::npos);
@@ -260,14 +233,6 @@ TEST(ObsExportTest, ChromeTraceRoundTrip) {
   EXPECT_NE(buf.str().find("obs_test.chrome.site"), std::string::npos);
   ClearTraceEvents();
   std::remove(path.c_str());
-}
-
-TEST(ObsTraceTest, CompiledInMatchesBuildDefinition) {
-#if defined(TFMAE_OBS_ENABLED)
-  EXPECT_TRUE(CompiledIn());
-#else
-  EXPECT_FALSE(CompiledIn());
-#endif
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // budgets, the online score-drift monitor, and the /statusz JSON payload.
 //
 // Stage sums, e2e quantiles, SLO ledgers, and the drift monitor are plain
-// ServeStats state (not obs macros), so everything here pins behavior in
-// the default tier-1 build — no TFMAE_OBS required.
+// ServeStats state (not obs macros), so everything here pins behavior with
+// collection off — no TFMAE_OBS required.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>

@@ -41,7 +41,8 @@
 //
 // Live observability (docs/OBSERVABILITY.md, "Live endpoints & SLOs"):
 //
-//   tfmae_serve --metrics_port=9464             # HTTP endpoints while serving:
+//   tfmae_serve --metrics_port=9464             # HTTP endpoints while serving
+//                                               # (turns metric collection on):
 //                                               #   /metrics  Prometheus text
 //                                               #   /healthz  ok|degraded, 503
 //                                               #             once draining
@@ -70,6 +71,8 @@
 //        --drift_every=N --drift_threshold=F --drain_linger_ms=MS
 // plus the shared observability flags of MaybeProfileFromArgs
 // (--obs_json/--obs_trace/--obs_text/--ledger/--flight_recorder).
+// Parsing is strict: an unknown flag, a stray argument or a malformed value
+// prints usage to stderr and exits 2; --help prints usage and exits 0.
 //
 // Graceful drain: SIGTERM/SIGINT stop ingest at the next row; every admitted
 // window is then scored (Drain), the stats are printed, and the process
@@ -83,10 +86,15 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "core/detector.h"
@@ -97,6 +105,7 @@
 #include "obs/export.h"
 #include "obs/http_endpoint.h"
 #include "obs/prom_export.h"
+#include "obs/trace.h"
 #include "serve/fleet_server.h"
 #include "serve/fleet_snapshot.h"
 #include "util/stopwatch.h"
@@ -108,25 +117,91 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void HandleStop(int) { g_stop = 1; }
 
-const char* FlagValue(int argc, char** argv, const char* prefix) {
-  const std::size_t len = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, len) == 0) return argv[i] + len;
+// One accepted flag: `--name=value` for a count, number or string target,
+// bare `--name` for a switch.
+struct Flag {
+  const char* name;
+  std::variant<std::int64_t*, double*, const char**, bool*> target;
+};
+
+void PrintUsage(std::FILE* out, const std::vector<Flag>& flags) {
+  std::fprintf(out, "usage: tfmae_serve [flags]\n");
+  for (const Flag& flag : flags) {
+    // Indexed like Flag::target's alternatives.
+    static const char* const kValue[] = {"=N", "=X", "=VALUE", ""};
+    std::fprintf(out, "  --%s%s\n", flag.name, kValue[flag.target.index()]);
   }
-  return nullptr;
+  std::fprintf(out,
+               "  --help\n"
+               "plus --obs_json=PATH --obs_trace=PATH --obs_text --ledger=PATH "
+               "--flight_recorder=PATH (docs/OBSERVABILITY.md)\n");
 }
 
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
+// A non-negative decimal integer, all of `text`.
+bool ParseCount(const char* text, std::int64_t* out) {
+  if (text[0] < '0' || text[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = value;
+  return true;
 }
 
-std::int64_t IntFlag(int argc, char** argv, const char* prefix,
-                     std::int64_t fallback) {
-  const char* v = FlagValue(argc, argv, prefix);
-  return v != nullptr ? std::atoll(v) : fallback;
+// A finite decimal number, all of `text`.
+bool ParseNumber(const char* text, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
+}
+
+// Parses argv strictly against `flags`: an unknown flag, a stray argument,
+// or a malformed value prints usage to stderr and yields exit status 2;
+// --help prints usage to stdout and yields 0. Returns nothing when serving
+// should go ahead.
+std::optional<int> ParseFlags(int argc, char** argv,
+                              const std::vector<Flag>& flags) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help") {
+      PrintUsage(stdout, flags);
+      return 0;
+    }
+    const std::size_t eq = arg.find('=');
+    const std::string_view name = arg.substr(0, eq);
+    const char* value =
+        eq == std::string_view::npos ? nullptr : argv[i] + eq + 1;
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(), [&](const Flag& f) {
+          return name.substr(0, 2) == "--" && name.substr(2) == f.name;
+        });
+    if (flag == flags.end()) {
+      std::fprintf(stderr, "tfmae_serve: unknown argument '%s'\n", argv[i]);
+      PrintUsage(stderr, flags);
+      return 2;
+    }
+    bool ok = true;
+    if (bool* const* on = std::get_if<bool*>(&flag->target)) {
+      ok = value == nullptr;
+      **on = true;
+    } else if (value == nullptr || value[0] == '\0') {
+      ok = false;
+    } else if (auto* count = std::get_if<std::int64_t*>(&flag->target)) {
+      ok = ParseCount(value, *count);
+    } else if (auto* number = std::get_if<double*>(&flag->target)) {
+      ok = ParseNumber(value, *number);
+    } else {
+      *std::get<const char**>(flag->target) = value;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "tfmae_serve: bad value in '%s'\n", argv[i]);
+      PrintUsage(stderr, flags);
+      return 2;
+    }
+  }
+  return std::nullopt;
 }
 
 // One deterministic replay row: stream `s` reads the shared series at a
@@ -166,60 +241,80 @@ void LogResults(std::FILE* log, const std::vector<tfmae::serve::ScoredWindow>& r
 int main(int argc, char** argv) {
   tfmae::obs::MaybeProfileFromArgs(&argc, argv);
 
-  const std::int64_t streams = IntFlag(argc, argv, "--streams=", 1024);
-  const std::int64_t threads = IntFlag(argc, argv, "--threads=", 1);
-  const std::int64_t batch_max = IntFlag(argc, argv, "--batch_max=", 64);
-  const std::int64_t rows = IntFlag(argc, argv, "--rows=", 200);
-  const std::int64_t seconds = IntFlag(argc, argv, "--seconds=", 0);
-  const std::int64_t window = IntFlag(argc, argv, "--window=", 32);
-  const std::int64_t hop = IntFlag(argc, argv, "--hop=", 8);
-  const std::int64_t queue_capacity =
-      IntFlag(argc, argv, "--queue_capacity=", 4096);
-  const char* csv_path = FlagValue(argc, argv, "--csv=");
-  const char* checkpoint = FlagValue(argc, argv, "--checkpoint=");
-  const char* save_checkpoint = FlagValue(argc, argv, "--save_checkpoint=");
-  const double anomaly_fraction = [&] {
-    const char* v = FlagValue(argc, argv, "--anomaly_fraction=");
-    return v != nullptr ? std::atof(v) : 0.02;
-  }();
-  const char* quant_flag = FlagValue(argc, argv, "--quant=");
-  const bool verify = HasFlag(argc, argv, "--verify");
-  const bool quiet = HasFlag(argc, argv, "--quiet");
-  const char* snapshot_dir = FlagValue(argc, argv, "--snapshot_dir=");
-  const std::int64_t snapshot_every = [&] {
-    // Flag wins; TFMAE_SERVE_SNAPSHOT_EVERY supplies the fleet-wide default.
-    const char* v = FlagValue(argc, argv, "--snapshot_every=");
-    if (v != nullptr) return static_cast<std::int64_t>(std::atoll(v));
-    const char* env = std::getenv("TFMAE_SERVE_SNAPSHOT_EVERY");
-    return env != nullptr ? static_cast<std::int64_t>(std::atoll(env))
-                          : std::int64_t{0};
-  }();
-  const bool restore = HasFlag(argc, argv, "--restore");
-  const char* score_log_path = FlagValue(argc, argv, "--score_log=");
-  const char* shed_policy_name = [&]() -> const char* {
-    const char* v = FlagValue(argc, argv, "--shed_policy=");
-    if (v != nullptr) return v;
-    return std::getenv("TFMAE_SERVE_SHED_POLICY");
-  }();
-  const std::int64_t watchdog_ms = IntFlag(argc, argv, "--watchdog_ms=", 0);
-  // Live observability flags. --metrics_port is present/absent (0 is a valid
-  // value: bind an ephemeral port and print it).
-  const char* metrics_port_flag = FlagValue(argc, argv, "--metrics_port=");
-  const std::int64_t metrics_port =
-      metrics_port_flag != nullptr ? std::atoll(metrics_port_flag) : 0;
-  const std::int64_t stats_every = IntFlag(argc, argv, "--stats_every=", 0);
-  const std::int64_t trace_sample = IntFlag(argc, argv, "--trace_sample=", 0);
-  const std::int64_t slo_latency_ms =
-      IntFlag(argc, argv, "--slo_latency_ms=", 0);
-  const std::int64_t slo_staleness_rows =
-      IntFlag(argc, argv, "--slo_staleness_rows=", 0);
-  const std::int64_t drift_every = IntFlag(argc, argv, "--drift_every=", 0);
-  const double drift_threshold = [&] {
-    const char* v = FlagValue(argc, argv, "--drift_threshold=");
-    return v != nullptr ? std::atof(v) : 0.35;
-  }();
-  const std::int64_t drain_linger_ms =
-      IntFlag(argc, argv, "--drain_linger_ms=", 0);
+  std::int64_t streams = 1024;
+  std::int64_t threads = 1;
+  std::int64_t batch_max = 64;
+  std::int64_t rows = 200;
+  std::int64_t seconds = 0;
+  std::int64_t window = 32;
+  std::int64_t hop = 8;
+  std::int64_t queue_capacity = 4096;
+  const char* csv_path = nullptr;
+  const char* checkpoint = nullptr;
+  const char* save_checkpoint = nullptr;
+  double anomaly_fraction = 0.02;
+  const char* quant_flag = nullptr;
+  bool verify = false;
+  bool quiet = false;
+  const char* snapshot_dir = nullptr;
+  // The environment supplies fleet-wide defaults; flags win.
+  std::int64_t snapshot_every = 0;
+  if (const char* env = std::getenv("TFMAE_SERVE_SNAPSHOT_EVERY");
+      env != nullptr && !ParseCount(env, &snapshot_every)) {
+    std::fprintf(stderr,
+                 "tfmae_serve: TFMAE_SERVE_SNAPSHOT_EVERY must be a "
+                 "non-negative integer (got %s)\n",
+                 env);
+    return 2;
+  }
+  bool restore = false;
+  const char* score_log_path = nullptr;
+  const char* shed_policy_name = std::getenv("TFMAE_SERVE_SHED_POLICY");
+  std::int64_t watchdog_ms = 0;
+  // Live observability flags. -1 leaves the endpoint off (0 is a valid
+  // port: bind an ephemeral one and print it).
+  std::int64_t metrics_port = -1;
+  std::int64_t stats_every = 0;
+  std::int64_t trace_sample = 0;
+  std::int64_t slo_latency_ms = 0;
+  std::int64_t slo_staleness_rows = 0;
+  std::int64_t drift_every = 0;
+  double drift_threshold = 0.35;
+  std::int64_t drain_linger_ms = 0;
+  const std::vector<Flag> flags = {
+      {"streams", &streams},
+      {"threads", &threads},
+      {"batch_max", &batch_max},
+      {"rows", &rows},
+      {"seconds", &seconds},
+      {"window", &window},
+      {"hop", &hop},
+      {"queue_capacity", &queue_capacity},
+      {"anomaly_fraction", &anomaly_fraction},
+      {"csv", &csv_path},
+      {"checkpoint", &checkpoint},
+      {"save_checkpoint", &save_checkpoint},
+      {"quant", &quant_flag},
+      {"verify", &verify},
+      {"quiet", &quiet},
+      {"snapshot_dir", &snapshot_dir},
+      {"snapshot_every", &snapshot_every},
+      {"restore", &restore},
+      {"score_log", &score_log_path},
+      {"shed_policy", &shed_policy_name},
+      {"watchdog_ms", &watchdog_ms},
+      {"metrics_port", &metrics_port},
+      {"stats_every", &stats_every},
+      {"trace_sample", &trace_sample},
+      {"slo_latency_ms", &slo_latency_ms},
+      {"slo_staleness_rows", &slo_staleness_rows},
+      {"drift_every", &drift_every},
+      {"drift_threshold", &drift_threshold},
+      {"drain_linger_ms", &drain_linger_ms},
+  };
+  if (const std::optional<int> exit_code = ParseFlags(argc, argv, flags)) {
+    return *exit_code;
+  }
   if (quant_flag != nullptr && std::strcmp(quant_flag, "int8") != 0 &&
       std::strcmp(quant_flag, "off") != 0) {
     std::fprintf(stderr, "tfmae_serve: --quant must be int8 or off\n");
@@ -237,7 +332,8 @@ int main(int argc, char** argv) {
     }
     shed_policy = *parsed;
   }
-  if (streams < 1 || threads < 1 || window < 2 || hop < 1) {
+  if (streams < 1 || threads < 1 || window < 2 || hop < 1 ||
+      metrics_port > 65535) {
     std::fprintf(stderr, "tfmae_serve: invalid flag value\n");
     return 1;
   }
@@ -246,6 +342,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // A scrape target must have something to serve: the endpoint turns
+  // metric collection on, as TFMAE_OBS=1 would.
+  if (metrics_port >= 0) tfmae::obs::SetEnabled(true);
   std::signal(SIGTERM, HandleStop);
   std::signal(SIGINT, HandleStop);
   tfmae::ThreadPool::Instance().SetNumThreads(static_cast<int>(threads));
@@ -361,7 +460,7 @@ int main(int argc, char** argv) {
   // Live endpoints. Declared after the server so it stops serving BEFORE
   // the server is destroyed — a late scrape can never race a dying server.
   tfmae::obs::HttpEndpoint endpoint;
-  if (metrics_port_flag != nullptr) {
+  if (metrics_port >= 0) {
     endpoint.Handle("/metrics", [] {
       tfmae::obs::HttpResponse response;
       response.content_type = "text/plain; version=0.0.4; charset=utf-8";
