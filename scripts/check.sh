@@ -46,11 +46,13 @@
 # the committed baselines.
 #
 # The plan mode is the pre-planned-inference soak from DESIGN.md §10: the
-# InferencePlan suite (bitwise eager-vs-planned scoring, arena accounting,
-# injected capture faults, the scrub canary) runs twice — once under
+# InferencePlan suites (bitwise eager-vs-planned scoring, arena accounting,
+# injected capture faults, the scrub canary, Score() across plan lanes
+# including a TFMAE_PLAN_PROFILE multi-lane run) run twice — once under
 # AddressSanitizer (arena offsets and lifetimes are hand-planned, so every
-# replay is an ASan workout) and once under ThreadSanitizer (replay
-# dispatches coarse parallel-for chunks over shared arena rows).
+# replay is an ASan workout) and once under ThreadSanitizer (lanes replay
+# concurrently, each dispatching its kernels inline). The thread mode runs
+# the same tests within the full suite.
 #
 # The serve mode is the fleet-serving soak from docs/SERVING.md: the
 # serve suite (concurrent ingest, backpressure, batched-vs-sequential
@@ -195,7 +197,7 @@ case "$MODE" in
     done
     echo "== serve smoke: 256 streams, 30 seconds, batched == sequential =="
     build-check-address/tools/tfmae_serve \
-      --streams=256 --threads=2 --seconds=30 --verify
+      --streams=256 --threads=2 --seconds=30 --rows=0 --verify
     ;;
   chaos)
     build address

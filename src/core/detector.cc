@@ -20,6 +20,7 @@
 #include "util/logging.h"
 #include "util/memory.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace tfmae::core {
 namespace {
@@ -103,13 +104,13 @@ TfmaeDetector::TfmaeDetector(TfmaeConfig config, std::string name)
       quant_mode_(QuantModeEnvDefault()) {}
 
 void TfmaeDetector::SetQuantMode(QuantMode mode) {
-  if (mode != quant_mode_) plan_.reset();  // precision change: plan is stale
+  if (mode != quant_mode_) lanes_.Reset();  // precision change: plan is stale
   quant_mode_ = mode;
 }
 
 void TfmaeDetector::SetQuantSpec(QuantSpec spec) {
   quant_spec_ = std::move(spec);
-  plan_.reset();
+  lanes_.Reset();
 }
 
 void TfmaeDetector::SetScoreReference(ScoreDistribution dist) {
@@ -149,7 +150,7 @@ bool TfmaeDetector::Calibrate(const data::TimeSeries& series,
     return false;
   }
   quant_spec_ = std::move(spec);
-  plan_.reset();  // next Score() may now compile the quantized plan
+  lanes_.Reset();  // next Score() may now compile the quantized plan
   TFMAE_COUNTER_ADD("infer.quant.calibrations", 1);
   if (obs::LedgerActive()) {
     float amax_lo = 0.0f;
@@ -236,7 +237,7 @@ void TfmaeDetector::FitInternal(const data::TimeSeries& train,
   const data::TimeSeries normalized = normalizer_.Apply(train);
 
   model_ = std::make_unique<TfmaeModel>(train.num_features, config_, &rng_);
-  plan_.reset();  // weights change: any captured plan is stale
+  lanes_.Reset();  // weights change: any captured plan is stale
   nn::AdamOptions adam_options;
   adam_options.learning_rate = config_.learning_rate;
   adam_options.clip_grad_norm = config_.clip_grad_norm;
@@ -519,7 +520,7 @@ bool TfmaeDetector::LoadCheckpoint(const std::string& prefix) {
     model_.reset();
     return false;
   }
-  plan_.reset();  // loaded weights: any captured plan is stale
+  lanes_.Reset();  // loaded weights: any captured plan is stale
   quant_spec_ = QuantSpec{};
   std::string quant_error;
   if (!LoadQuantSpec(prefix + ".quant", &quant_spec_, &quant_error)) {
@@ -540,6 +541,90 @@ bool TfmaeDetector::LoadCheckpoint(const std::string& prefix) {
   return true;
 }
 
+void TfmaeDetector::CountQuantFallback(const std::string& reason) {
+  ++quant_fallbacks_;
+  TFMAE_COUNTER_ADD("infer.quant.fallbacks", 1);
+  if (obs::LedgerActive()) {
+    obs::Ledger::Instance().Event(
+        "quant", {{"verdict", obs::JsonQuote("fallback")},
+                  {"reason", obs::JsonQuote(reason)}});
+  }
+}
+
+bool TfmaeDetector::ScoreFirstWindow(const MaskedWindow& first,
+                                     const QuantSpec** quant, float* scores) {
+  const std::int64_t window = first.length;
+  if (lanes_.PrimaryMatches(first, *quant != nullptr)) {
+    PlanLanes::Lane& lane = lanes_.lane(0);
+    lane.plan->Score(first, &lane.out);
+    std::copy(lane.out.begin(), lane.out.begin() + window, scores);
+    return true;
+  }
+  // Capture (or re-capture after a geometry / precision change). The capture
+  // pass runs this window eagerly and leaves its scores in lane 0's `out`
+  // either way.
+  if (*quant != nullptr && TFMAE_FAULT("infer.quant.capture")) {
+    // Injected quant-capture fault: prove the fp32 fallback path.
+    CountQuantFallback("injected fault: infer.quant.capture");
+    *quant = nullptr;
+  }
+  std::string err;
+  bool captured = false;
+  if (TFMAE_FAULT("infer.plan.capture")) {
+    err = "injected fault: infer.plan.capture";
+    const std::vector<float> eager = model_->ScoreWindow(first);
+    std::copy(eager.begin(), eager.begin() + window, scores);
+  } else {
+    captured = lanes_.Ensure(*model_, 1, first, *quant, &err).ready == 1;
+    if (!captured && *quant != nullptr) {
+      // Quantized capture failed its self-verification (or lowering): fall
+      // back to a fp32 plan for this and future windows.
+      CountQuantFallback(err);
+      *quant = nullptr;
+      captured = lanes_.Ensure(*model_, 1, first, nullptr, &err).ready == 1;
+    }
+    const std::vector<float>& eager = lanes_.lane(0).out;
+    std::copy(eager.begin(), eager.begin() + window, scores);
+  }
+  if (!captured) {
+    lanes_.Reset();
+    ++plan_capture_failures_;
+    // The reason lands in the obs counters; scoring proceeds eagerly.
+    (void)err;
+    TFMAE_COUNTER_ADD("infer.plan.fallbacks", 1);
+    return false;
+  }
+  const InferencePlanStats& ps = lanes_.primary()->stats();
+  TFMAE_COUNTER_ADD("infer.plan.detector_captures", 1);
+  if (obs::LedgerActive()) {
+    // One event per capture geometry: the extra lanes a call adds are
+    // replicas of this plan and stay out of the ledger, so the record does
+    // not depend on the thread count.
+    obs::Ledger::Instance().Event(
+        "plan",
+        {{"ops", std::to_string(ps.ops)},
+         {"captured_ops", std::to_string(ps.captured_ops)},
+         {"fused_ops", std::to_string(ps.fused_ops)},
+         {"elided_reshapes", std::to_string(ps.elided_reshapes)},
+         {"slots", std::to_string(ps.slots)},
+         {"arena_bytes", std::to_string(ps.arena_bytes)},
+         // Wall-clock field: the t_ prefix keeps it out of the
+         // thread-count-invariant canonical stream.
+         {"t_capture_ms", std::to_string(ps.capture_ms)}});
+    if (ps.quantized) {
+      obs::Ledger::Instance().Event(
+          "quant",
+          {{"verdict", obs::JsonQuote("self_verified")},
+           {"isa", obs::JsonQuote(quant::QuantGemmIsa())},
+           {"sites", std::to_string(quant_spec_.sites.size())},
+           {"quant_linear_ops", std::to_string(ps.quant_linear_ops)},
+           {"elided_quant_pairs", std::to_string(ps.elided_quant_pairs)},
+           {"quant_arena_bytes", std::to_string(ps.quant_arena_bytes)}});
+    }
+  }
+  return true;
+}
+
 std::vector<float> TfmaeDetector::Score(const data::TimeSeries& series) {
   TFMAE_CHECK_MSG(fitted_, "Score() called before Fit()");
   TFMAE_CHECK(series.num_features == model_->num_features());
@@ -552,119 +637,112 @@ std::vector<float> TfmaeDetector::Score(const data::TimeSeries& series) {
   const std::vector<std::int64_t> starts =
       data::WindowStarts(normalized.length, window, stride);
 
-  std::vector<double> score_sum(static_cast<std::size_t>(series.length), 0.0);
-  std::vector<std::int32_t> score_count(
-      static_cast<std::size_t>(series.length), 0);
   // Resolve the scoring precision once per call. Int8 needs a calibration
   // spec whose feature count matches the scored series; anything else is a
   // counted, ledger-visible fallback to fp32.
-  auto quant_fallback = [this](const std::string& reason) {
-    ++quant_fallbacks_;
-    TFMAE_COUNTER_ADD("infer.quant.fallbacks", 1);
-    if (obs::LedgerActive()) {
-      obs::Ledger::Instance().Event(
-          "quant", {{"verdict", obs::JsonQuote("fallback")},
-                    {"reason", obs::JsonQuote(reason)}});
-    }
-  };
   const QuantSpec* quant = nullptr;
   if (quant_mode_ == QuantMode::kInt8) {
     if (quant_spec_.empty()) {
-      quant_fallback("no calibration spec");
+      CountQuantFallback("no calibration spec");
     } else if (quant_spec_.num_features != series.num_features) {
-      quant_fallback("calibration feature count mismatch: spec " +
-                     std::to_string(quant_spec_.num_features) + " vs series " +
-                     std::to_string(series.num_features));
+      CountQuantFallback("calibration feature count mismatch: spec " +
+                         std::to_string(quant_spec_.num_features) +
+                         " vs series " + std::to_string(series.num_features));
     } else if (!plan_enabled_) {
-      quant_fallback("inference plan disabled");
+      CountQuantFallback("inference plan disabled");
     } else {
       quant = &quant_spec_;
     }
   }
 
-  // A failed capture disables the plan for the remainder of this call
-  // (each window would fail the same way); the next Score() retries.
-  bool capture_failed_this_call = false;
-  for (std::int64_t start : starts) {
-    std::vector<float> values = ExtractWindow(normalized, start, window);
+  // Each window's scores land in its row of a [windows x window] buffer;
+  // the overlap average below then adds them up in window order, the same
+  // sums in the same order however the rows were produced.
+  const std::int64_t num_windows = static_cast<std::int64_t>(starts.size());
+  std::vector<float> window_scores(
+      static_cast<std::size_t>(num_windows * window));
+  auto row = [&](std::int64_t i) {
+    return window_scores.data() + i * window;
+  };
+  // Only the random ablation variants draw from rng_; their windows are
+  // prepared on this thread in window order so the draws stay in sequence.
+  const bool random_masks =
+      (config_.use_temporal_branch &&
+       config_.temporal_mask == masking::TemporalMaskVariant::kRandom) ||
+      (config_.use_frequency_branch &&
+       config_.frequency_mask == masking::FrequencyMaskVariant::kRandom);
+  auto prepare = [&](std::int64_t i) {
+    std::vector<float> values = ExtractWindow(
+        normalized, starts[static_cast<std::size_t>(i)], window);
     if (config_.per_window_normalization) {
       PerWindowNormalize(&values, window, normalized.num_features);
     }
-    const MaskedWindow masked = model_->PrepareWindow(values, &rng_);
-    if (plan_enabled_ && plan_ != nullptr && plan_->Matches(masked) &&
-        plan_->stats().quantized == (quant != nullptr)) {
-      plan_->Score(masked, &plan_scores_);
-    } else if (plan_enabled_ && !capture_failed_this_call) {
-      // Capture (or re-capture after a geometry / precision change). The
-      // capture pass runs this window eagerly and returns its scores
-      // either way.
-      std::string err;
-      std::unique_ptr<InferencePlan> built;
-      const QuantSpec* capture_quant = quant;
-      if (capture_quant != nullptr && TFMAE_FAULT("infer.quant.capture")) {
-        // Injected quant-capture fault: prove the fp32 fallback path.
-        quant_fallback("injected fault: infer.quant.capture");
-        capture_quant = nullptr;
-        quant = nullptr;
-      }
-      if (TFMAE_FAULT("infer.plan.capture")) {
-        err = "injected fault: infer.plan.capture";
-        plan_scores_ = model_->ScoreWindow(masked);
-      } else {
-        built = InferencePlan::Capture(*model_, masked, &plan_scores_, &err,
-                                       capture_quant);
-        if (built == nullptr && capture_quant != nullptr) {
-          // Quantized capture failed its self-verification (or lowering):
-          // fall back to a fp32 plan for this and future windows.
-          quant_fallback(err);
-          quant = nullptr;
-          built = InferencePlan::Capture(*model_, masked, &plan_scores_, &err);
-        }
-      }
-      if (built != nullptr) {
-        plan_ = std::move(built);
-        const InferencePlanStats& ps = plan_->stats();
-        TFMAE_COUNTER_ADD("infer.plan.detector_captures", 1);
-        if (obs::LedgerActive()) {
-          obs::Ledger::Instance().Event(
-              "plan",
-              {{"ops", std::to_string(ps.ops)},
-               {"captured_ops", std::to_string(ps.captured_ops)},
-               {"fused_ops", std::to_string(ps.fused_ops)},
-               {"elided_reshapes", std::to_string(ps.elided_reshapes)},
-               {"slots", std::to_string(ps.slots)},
-               {"arena_bytes", std::to_string(ps.arena_bytes)},
-               // Wall-clock field: the t_ prefix keeps it out of the
-               // thread-count-invariant canonical stream.
-               {"t_capture_ms", std::to_string(ps.capture_ms)}});
-          if (ps.quantized) {
-            obs::Ledger::Instance().Event(
-                "quant",
-                {{"verdict", obs::JsonQuote("self_verified")},
-                 {"isa", obs::JsonQuote(quant::QuantGemmIsa())},
-                 {"sites", std::to_string(quant_spec_.sites.size())},
-                 {"quant_linear_ops", std::to_string(ps.quant_linear_ops)},
-                 {"elided_quant_pairs",
-                  std::to_string(ps.elided_quant_pairs)},
-                 {"quant_arena_bytes",
-                  std::to_string(ps.quant_arena_bytes)}});
-          }
-        }
-      } else {
-        plan_.reset();
-        capture_failed_this_call = true;
-        ++plan_capture_failures_;
-        // The reason lands in the obs counters; scoring proceeds eagerly.
-        (void)err;
-        TFMAE_COUNTER_ADD("infer.plan.fallbacks", 1);
-      }
+    return model_->PrepareWindow(values, random_masks ? &rng_ : nullptr);
+  };
+
+  bool planned = false;
+  if (num_windows > 0) {
+    // Window 0 runs here: it replays on lane 0, or captures lane 0 (the
+    // capture pass scores it eagerly and returns those scores either way).
+    const MaskedWindow first = prepare(0);
+    if (plan_enabled_) {
+      planned = ScoreFirstWindow(first, &quant, row(0));
     } else {
-      plan_scores_ = model_->ScoreWindow(masked);
+      const std::vector<float> eager = model_->ScoreWindow(first);
+      std::copy(eager.begin(), eager.begin() + window, row(0));
     }
-    const std::vector<float>& window_scores = plan_scores_;
+    if (planned && num_windows > 1) {
+      // The rest spread across cores, one lane per concurrent chunk. Extra
+      // lanes are captured from window 0 at lane 0's precision; if one
+      // fails, the lanes before it carry the call.
+      const std::int64_t want = std::min<std::int64_t>(
+          ThreadPool::Instance().num_threads(), num_windows - 1);
+      const std::int64_t lanes = std::max<std::int64_t>(
+          1, lanes_.Ensure(*model_, want, first, quant).ready);
+      auto replay = [&](std::int64_t i, const MaskedWindow& masked,
+                        PlanLanes::Lane& lane) {
+        lane.plan->Score(masked, &lane.out);
+        std::copy(lane.out.begin(), lane.out.begin() + window, row(i));
+      };
+      if (!random_masks) {
+        // Extract, normalize, mask and replay all inside the chunk: live
+        // state is one window per thread.
+        lanes_.ForEach(1, num_windows, lanes,
+                       [&](std::int64_t i, PlanLanes::Lane& lane) {
+                         replay(i, prepare(i), lane);
+                       });
+      } else {
+        const std::int64_t block = 4 * lanes;
+        std::vector<MaskedWindow> prepared;
+        for (std::int64_t b0 = 1; b0 < num_windows; b0 += block) {
+          const std::int64_t b1 = std::min(num_windows, b0 + block);
+          prepared.clear();
+          for (std::int64_t i = b0; i < b1; ++i) prepared.push_back(prepare(i));
+          lanes_.ForEach(b0, b1, lanes,
+                         [&](std::int64_t i, PlanLanes::Lane& lane) {
+                           replay(i, prepared[static_cast<std::size_t>(i - b0)],
+                                  lane);
+                         });
+        }
+      }
+      lanes_.FoldReplays();
+    }
+  }
+  if (!planned) {
+    for (std::int64_t i = 1; i < num_windows; ++i) {
+      const std::vector<float> eager = model_->ScoreWindow(prepare(i));
+      std::copy(eager.begin(), eager.begin() + window, row(i));
+    }
+  }
+
+  std::vector<double> score_sum(static_cast<std::size_t>(series.length), 0.0);
+  std::vector<std::int32_t> score_count(
+      static_cast<std::size_t>(series.length), 0);
+  for (std::int64_t i = 0; i < num_windows; ++i) {
+    const std::int64_t start = starts[static_cast<std::size_t>(i)];
+    const float* scores_i = row(i);
     for (std::int64_t t = 0; t < window; ++t) {
-      score_sum[static_cast<std::size_t>(start + t)] +=
-          window_scores[static_cast<std::size_t>(t)];
+      score_sum[static_cast<std::size_t>(start + t)] += scores_i[t];
       ++score_count[static_cast<std::size_t>(start + t)];
     }
   }

@@ -11,6 +11,7 @@
 #include "core/drift.h"
 #include "core/inference_plan.h"
 #include "core/model.h"
+#include "core/plan_lanes.h"
 #include "nn/adam.h"
 #include "nn/numeric_guard.h"
 
@@ -91,7 +92,9 @@ class TfmaeDetector : public AnomalyDetector {
   bool Resume(const data::TimeSeries& train, const FitOptions& options);
 
   /// Per-time-step symmetric-KL anomaly scores. Overlapping window scores
-  /// are averaged. Requires Fit().
+  /// are averaged. Requires Fit(). Windows are spread across the pool's
+  /// threads on plan lanes (core/plan_lanes.h); the scores are bitwise
+  /// identical at every thread count.
   std::vector<float> Score(const data::TimeSeries& series) override;
 
   const TrainStats& train_stats() const { return stats_; }
@@ -115,8 +118,10 @@ class TfmaeDetector : public AnomalyDetector {
   void SetInferencePlanEnabled(bool on) { plan_enabled_ = on; }
   bool inference_plan_enabled() const { return plan_enabled_; }
 
-  /// The active plan (null until a Score() built one, or when disabled).
-  const InferencePlan* inference_plan() const { return plan_.get(); }
+  /// The active plan (null until a Score() built one, or when disabled):
+  /// lane 0 of the lane set Score() spreads windows over, its stats()
+  /// counting the replays of every lane.
+  const InferencePlan* inference_plan() const { return lanes_.primary(); }
 
   /// Capture attempts that fell back to eager scoring (fault injection or
   /// unsupported graphs).
@@ -181,13 +186,22 @@ class TfmaeDetector : public AnomalyDetector {
   TrainStats stats_;
   bool fitted_ = false;
 
-  // Pre-planned inference state. The plan is invalidated whenever the
+  /// Score() step for window 0: replays it on lane 0, capturing lane 0
+  /// first when no plan of this geometry and precision exists (`*quant`
+  /// drops to null on a quantized-capture fallback). Writes the window's
+  /// scores to `scores` either way; false means the capture failed and the
+  /// call scores eagerly.
+  bool ScoreFirstWindow(const MaskedWindow& first, const QuantSpec** quant,
+                        float* scores);
+  /// One int8-to-fp32 fallback: counter, ledger event, quant_fallbacks().
+  void CountQuantFallback(const std::string& reason);
+
+  // Pre-planned inference state. The lanes are invalidated whenever the
   // weights change (Fit/Resume/LoadCheckpoint) or the window geometry
   // stops matching.
-  std::unique_ptr<InferencePlan> plan_;
+  PlanLanes lanes_;
   bool plan_enabled_ = true;
   std::int64_t plan_capture_failures_ = 0;
-  std::vector<float> plan_scores_;  ///< reusable replay output buffer
 
   // Int8 scoring state (DESIGN.md §12).
   QuantMode quant_mode_ = QuantMode::kOff;

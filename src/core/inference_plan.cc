@@ -291,7 +291,8 @@ void RunBatchedMatMul(const ReplayOp& op) {
 void RunBatchedMatMulBt(const ReplayOp& op) {
   std::memset(op.out, 0,
               static_cast<std::size_t>(op.batch * op.m * op.n) * sizeof(float));
-  gemm::BatchedGemmBt(op.in0, op.in1, op.out, op.batch, op.m, op.k, op.n);
+  gemm::BatchedGemmBt(op.in0, op.in1, op.out, op.batch, op.m, op.k, op.n,
+                      op.scratch);
 }
 
 void RunPermute3(const ReplayOp& op) {
@@ -467,6 +468,11 @@ std::pair<std::int64_t, std::int64_t> ScratchFloats(const cap::CapturedOp& op) {
         op.kind == cap::OpKind::kSymKlPerRow ? 2 * cols : cols;
     return {chunks * per_chunk, grain};
   }
+  if (op.kind == cap::OpKind::kBatchedMatMulBt) {
+    // The transposed-operand pack ([batch, k, n]), so replay never takes a
+    // pool buffer for it.
+    return {op.attrs[0] * op.attrs[2] * op.attrs[3], 1};
+  }
   return {0, 1};
 }
 
@@ -526,6 +532,12 @@ struct InferencePlan::State {
   // before any QuantOpData points into them.
   std::vector<std::vector<float>> qch_scale;
   std::vector<std::vector<float>> qch_inv;
+
+  // TFMAE_PLAN_PROFILE, read at capture: per-op ns and the replays they
+  // cover.
+  bool profile = false;
+  std::vector<double> profile_ns;
+  std::int64_t profile_replays = 0;
 };
 
 InferencePlan::InferencePlan() = default;
@@ -582,6 +594,7 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
       static_cast<std::int64_t>(example.temporal.masked.size());
   state->freq_count = static_cast<std::int64_t>(example.frequency.size());
   state->score_rows = recorder.score_rows();
+  state->profile = std::getenv("TFMAE_PLAN_PROFILE") != nullptr;
   state->params = recorder.parameters();
 
   TFMAE_TRACE("infer.plan.build");
@@ -1094,6 +1107,7 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
         rop.m = op.attrs[1];
         rop.k = op.attrs[2];
         rop.n = op.attrs[3];
+        if (scratch_offset[j] >= 0) rop.scratch = arena + scratch_offset[j];
         break;
       case cap::OpKind::kReshape:
         TFMAE_CHECK_MSG(false, "plan: reshape survived elision");
@@ -1323,18 +1337,15 @@ void InferencePlan::ScoreImpl(const MaskedWindow& window,
   out->resize(static_cast<std::size_t>(s.score_rows));
   s.ops[static_cast<std::size_t>(s.terminal)].out = out->data();
 
-  // TFMAE_PLAN_PROFILE=1 swaps the tight replay loop for a per-op timed
-  // variant that prints a breakdown of where replay time goes every 100
-  // replays (ops above 2% of the total). The timing wrappers perturb the
-  // loop, so the default path stays branch-free.
-  static const bool kProfile = std::getenv("TFMAE_PLAN_PROFILE") != nullptr;
-  if (kProfile) {
-    static std::vector<double> ns;
-    static std::vector<const ReplayOp*> which;
-    if (ns.size() < s.ops.size()) {
-      ns.resize(s.ops.size(), 0.0);
-      which.resize(s.ops.size());
-    }
+  // TFMAE_PLAN_PROFILE (set when the plan was captured) swaps the tight
+  // replay loop for a per-op timed variant that prints a breakdown of where
+  // replay time goes every 100 replays (ops above 2% of the total). The
+  // timing wrappers perturb the loop, so the default path stays
+  // branch-free. The accumulators belong to the plan, so lanes replaying
+  // concurrently each profile their own replays.
+  if (s.profile) {
+    std::vector<double>& ns = s.profile_ns;
+    ns.resize(s.ops.size(), 0.0);
     std::size_t prof_si = 0;
     for (std::size_t j = 0; j < s.ops.size(); ++j) {
       // Calibration must still see activations when profiling is on.
@@ -1349,29 +1360,27 @@ void InferencePlan::ScoreImpl(const MaskedWindow& window,
       ns[j] += std::chrono::duration<double, std::nano>(
                    std::chrono::steady_clock::now() - t0)
                    .count();
-      which[j] = &s.ops[j];
     }
-    if (stats_.replays > 0 && stats_.replays % 100 == 0) {
+    if (++s.profile_replays % 100 == 0) {
+      const std::int64_t replays = s.profile_replays;
       double total = 0;
       for (double v : ns) total += v;
       std::fprintf(stderr,
                    "plan profile over %lld replays, total %.0f ns/replay\n",
-                   static_cast<long long>(stats_.replays),
-                   total / static_cast<double>(stats_.replays));
+                   static_cast<long long>(replays),
+                   total / static_cast<double>(replays));
       for (std::size_t j = 0; j < ns.size(); ++j) {
         if (ns[j] / total > 0.02) {
+          const ReplayOp& op = s.ops[j];
           std::fprintf(
               stderr,
               "  op[%zu] fn=%p out_n=%lld m=%lld k=%lld n=%lld batch=%lld"
               " nsteps=%d  %.1f%%  %.0f ns\n",
-              j, reinterpret_cast<const void*>(which[j]->fn),
-              static_cast<long long>(which[j]->out_n),
-              static_cast<long long>(which[j]->m),
-              static_cast<long long>(which[j]->k),
-              static_cast<long long>(which[j]->n),
-              static_cast<long long>(which[j]->batch), which[j]->nsteps,
-              100.0 * ns[j] / total,
-              ns[j] / static_cast<double>(stats_.replays));
+              j, reinterpret_cast<const void*>(op.fn),
+              static_cast<long long>(op.out_n), static_cast<long long>(op.m),
+              static_cast<long long>(op.k), static_cast<long long>(op.n),
+              static_cast<long long>(op.batch), op.nsteps,
+              100.0 * ns[j] / total, ns[j] / static_cast<double>(replays));
         }
       }
     }

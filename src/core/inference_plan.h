@@ -41,6 +41,7 @@ struct InferencePlanStats {
   std::int64_t arena_bytes = 0;      ///< one logical allocation, total size
   double capture_ms = 0.0;           ///< wall-clock cost of Capture()
   std::int64_t replays = 0;          ///< Score() calls served by this plan
+                                     ///< (plus AddSiblingReplays)
 
   // Int8 path accounting (zero / false on fp32 plans; DESIGN.md §12).
   bool quantized = false;             ///< plan runs the int8 scoring path
@@ -106,6 +107,11 @@ class InferencePlan {
                                    const ActivationObserver& observer);
 
   const InferencePlanStats& stats() const { return stats_; }
+
+  /// Adds `replays` served by a replica of this plan (another lane, see
+  /// core/plan_lanes.h) to stats().replays, so one plan can report a whole
+  /// lane set's work.
+  void AddSiblingReplays(std::int64_t replays) { stats_.replays += replays; }
 
  private:
   struct State;

@@ -6,9 +6,48 @@
 
 #include "fft/fft.h"
 #include "obs/trace.h"
+#include "util/build_once_cache.h"
 #include "util/logging.h"
 
 namespace tfmae::masking {
+namespace {
+
+// The float terms cos(angle)/length and sin(angle)/length of one bin's
+// inverse-DFT basis function, angle = 2*pi*bin*t/length.
+void FillTerms(std::int64_t bin, std::int64_t length, float* cos_out,
+               float* sin_out) {
+  const double inv_len = 1.0 / static_cast<double>(length);
+  for (std::int64_t t = 0; t < length; ++t) {
+    const double angle = 2.0 * M_PI * static_cast<double>(bin) *
+                         static_cast<double>(t) * inv_len;
+    cos_out[t] = static_cast<float>(std::cos(angle) * inv_len);
+    sin_out[t] = static_cast<float>(std::sin(angle) * inv_len);
+  }
+}
+
+// Every bin's terms for one window length, row-major [bin, t]: 8 * length^2
+// bytes (80 KB at length 100), built once per length and shared read-only.
+struct SpectralTerms {
+  std::vector<float> cos;
+  std::vector<float> sin;
+};
+
+SpectralTerms AllTerms(std::int64_t length) {
+  SpectralTerms terms;
+  terms.cos.resize(static_cast<std::size_t>(length * length));
+  terms.sin.resize(static_cast<std::size_t>(length * length));
+  for (std::int64_t bin = 0; bin < length; ++bin) {
+    FillTerms(bin, length, terms.cos.data() + bin * length,
+              terms.sin.data() + bin * length);
+  }
+  return terms;
+}
+
+// Longer columns (2 MB of table at this length) evaluate the masked bins'
+// terms on every call instead of caching all of them.
+constexpr std::int64_t kMaxCachedTermsLength = 512;
+
+}  // namespace
 
 FrequencyMaskedColumn MaskFrequencyColumn(const std::vector<float>& column,
                                           double ratio,
@@ -88,16 +127,34 @@ FrequencyMaskedColumn MaskFrequencyColumn(const std::vector<float>& column,
   result.masked_bins = std::move(masked);
   result.cos_coef.assign(static_cast<std::size_t>(length), 0.0f);
   result.sin_coef.assign(static_cast<std::size_t>(length), 0.0f);
-  const double inv_len = 1.0 / static_cast<double>(length);
+  if (result.masked_bins.empty()) return result;
+  // Adding table rows in ascending bin order performs the same float
+  // additions as evaluating each term inline, so the coefficients are
+  // bitwise those of the direct formula.
+  static BuildOnceCache<std::int64_t, SpectralTerms> cache;
+  const bool cached = length <= kMaxCachedTermsLength;
+  const SpectralTerms* terms =
+      cached ? &cache.Get(length, [length] { return AllTerms(length); })
+             : nullptr;
+  std::vector<float> row_cos;
+  std::vector<float> row_sin;
   for (std::int64_t bin : result.masked_bins) {
+    const float* cos_row;
+    const float* sin_row;
+    if (cached) {
+      cos_row = terms->cos.data() + bin * length;
+      sin_row = terms->sin.data() + bin * length;
+    } else {
+      row_cos.resize(static_cast<std::size_t>(length));
+      row_sin.resize(static_cast<std::size_t>(length));
+      FillTerms(bin, length, row_cos.data(), row_sin.data());
+      cos_row = row_cos.data();
+      sin_row = row_sin.data();
+    }
     for (std::int64_t t = 0; t < length; ++t) {
-      const double angle = 2.0 * M_PI * static_cast<double>(bin) *
-                           static_cast<double>(t) * inv_len;
       // Re[(re + j*im) * e^{j angle}] / length = (re*cos - im*sin) / length.
-      result.cos_coef[static_cast<std::size_t>(t)] +=
-          static_cast<float>(std::cos(angle) * inv_len);
-      result.sin_coef[static_cast<std::size_t>(t)] -=
-          static_cast<float>(std::sin(angle) * inv_len);
+      result.cos_coef[static_cast<std::size_t>(t)] += cos_row[t];
+      result.sin_coef[static_cast<std::size_t>(t)] -= sin_row[t];
     }
   }
   return result;

@@ -154,19 +154,6 @@ struct FleetServer::Entry {
   bool slo_exhausted = false;
 };
 
-/// One batch lane: a private InferencePlan replica with its own planned
-/// arena plus a reusable output buffer. Lanes are the batch dimension of
-/// the PR 6 arena planner — replay is stateful (one arena, rebindable
-/// inputs), so concurrency comes from replicas, not sharing. Every lane
-/// self-verified against the eager path at capture, so all lanes produce
-/// bitwise-identical scores for the same window.
-struct FleetServer::Lane {
-  std::unique_ptr<core::InferencePlan> plan;
-  bool quantized = false;  ///< plan compiled for the int8 path
-  std::vector<float> out;
-  std::atomic_flag busy = ATOMIC_FLAG_INIT;
-};
-
 /// One ready window awaiting a batched pass: a value snapshot (the stream's
 /// buffer keeps sliding underneath) plus the metadata its result carries.
 struct FleetServer::Request {
@@ -423,10 +410,6 @@ AdmitStatus FleetServer::Push(std::int64_t stream,
 
 bool FleetServer::EnsureLanesLocked(std::int64_t want,
                                     const core::MaskedWindow& example) {
-  want = std::max<std::int64_t>(want, 1);
-  while (static_cast<std::int64_t>(lanes_.size()) < want) {
-    lanes_.push_back(std::make_unique<Lane>());
-  }
   // Lane precision: int8 when the detector selected it and carries a
   // calibration spec, unless a quantized capture already failed (sticky —
   // mixed-precision lanes would make batch scores depend on lane
@@ -437,37 +420,27 @@ bool FleetServer::EnsureLanesLocked(std::int64_t want,
       detector_->has_quant_spec()) {
     spec = &detector_->quant_spec();
   }
-  for (std::int64_t i = 0; i < want; ++i) {
-    Lane& lane = *lanes_[static_cast<std::size_t>(i)];
-    const bool want_quant = spec != nullptr;
-    if (lane.plan != nullptr && lane.plan->Matches(example) &&
-        lane.quantized == want_quant) {
-      continue;
-    }
-    lane.plan.reset();
-    std::string error;
-    lane.plan = core::InferencePlan::Capture(*detector_->model(), example,
-                                             &lane.out, &error, spec);
-    if (lane.plan == nullptr) {
-      if (spec != nullptr) {
-        // A failed int8 capture demotes the WHOLE server to fp32 lanes
-        // (sticky): every already-captured int8 lane is dropped and this
-        // loop restarts in fp32, so one batch never mixes precisions.
-        quant_capture_failed_ = true;
-        quant_lane_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        TFMAE_COUNTER_ADD("serve.quant.capture_fallbacks", 1);
-        spec = nullptr;
-        for (auto& l : lanes_) l->plan.reset();
-        i = -1;
-        continue;
-      }
-      // Capture failure never produces a wrong plan, only no plan: this
-      // batch scores eagerly and the next batch retries the capture.
-      TFMAE_COUNTER_ADD("serve.plan.capture_fallbacks", 1);
-      return false;
-    }
-    lane.quantized = want_quant;
-    TFMAE_COUNTER_ADD("serve.plan.lane_captures", 1);
+  const core::TfmaeModel& model = *detector_->model();
+  core::PlanLanes::EnsureResult lanes =
+      lanes_.Ensure(model, want, example, spec);
+  std::int64_t captured = lanes.captured;
+  if (lanes.ready < want && spec != nullptr) {
+    // A failed int8 capture demotes the WHOLE server to fp32 lanes
+    // (sticky): every already-captured int8 lane is dropped and the lanes
+    // are captured again in fp32, so one batch never mixes precisions.
+    quant_capture_failed_ = true;
+    quant_lane_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+    TFMAE_COUNTER_ADD("serve.quant.capture_fallbacks", 1);
+    lanes_.Reset();
+    lanes = lanes_.Ensure(model, want, example, nullptr);
+    captured += lanes.captured;
+  }
+  TFMAE_COUNTER_ADD("serve.plan.lane_captures", captured);
+  if (lanes.ready < want) {
+    // Capture failure never produces a wrong plan, only no plan: this
+    // batch scores eagerly and the next batch retries the capture.
+    TFMAE_COUNTER_ADD("serve.plan.capture_fallbacks", 1);
+    return false;
   }
   return true;
 }
@@ -504,9 +477,10 @@ std::int64_t FleetServer::ScoreBatchLocked() {
 
   // Phase 1 (dispatch thread, serial): replicate TfmaeDetector::Score's
   // exact per-window pipeline — global z-score, optional per-window
-  // instance normalization, mask preparation. Masking/FFT are cheap next to
-  // the transformer forward; keeping them off worker threads keeps the
-  // parallel phase a pure replay loop.
+  // instance normalization, mask preparation. Keeping it off worker threads
+  // keeps the parallel phase a pure replay loop. At this geometry (W32 x F4)
+  // masking is about a tenth of a window; at the paper's W100 x F38 it is
+  // over half, which is why Score() masks inside its parallel chunks.
   std::vector<core::MaskedWindow> masked(batch.size());
   for (std::int64_t i = 0; i < batch_size; ++i) {
     Request& request = batch[static_cast<std::size_t>(i)];
@@ -529,33 +503,24 @@ std::int64_t FleetServer::ScoreBatchLocked() {
   const std::uint64_t t_prep = NowNs();
 
   // Phase 2: score. Planned path: one ParallelFor over the batch, each
-  // chunk claiming a free lane — inside a chunk every kernel-level
-  // ParallelFor runs inline at fixed chunk boundaries (util/thread_pool.h),
-  // so each window's scores are bitwise those of a sequential replay.
+  // chunk claiming a free lane (core/plan_lanes.h) — inside a chunk every
+  // kernel-level ParallelFor runs inline at fixed chunk boundaries, so each
+  // window's scores are bitwise those of a sequential replay.
   const std::int64_t lane_want = std::min<std::int64_t>(
       batch_size, ThreadPool::Instance().num_threads());
   const bool planned = !fault_slow_batch && detector_->inference_plan_enabled() &&
                        EnsureLanesLocked(lane_want, masked[0]);
   std::vector<float> scores(batch.size(), 0.0f);
   if (planned) {
-    ParallelFor(0, batch_size, 1, [&](std::int64_t b0, std::int64_t b1) {
-      // Claim a lane: at most min(batch, threads) chunks run concurrently
-      // and that many verified lanes exist, so the scan always terminates.
-      Lane* lane = nullptr;
-      for (std::size_t l = 0;; l = (l + 1) % static_cast<std::size_t>(lane_want)) {
-        if (!lanes_[l]->busy.test_and_set(std::memory_order_acquire)) {
-          lane = lanes_[l].get();
-          break;
-        }
-      }
-      for (std::int64_t i = b0; i < b1; ++i) {
-        const Request& request = batch[static_cast<std::size_t>(i)];
-        lane->plan->Score(masked[static_cast<std::size_t>(i)], &lane->out);
-        scores[static_cast<std::size_t>(i)] =
-            core::StreamState::TailScore(lane->out, window, request.fresh);
-      }
-      lane->busy.clear(std::memory_order_release);
-    });
+    lanes_.ForEach(0, batch_size, lane_want,
+                   [&](std::int64_t i, core::PlanLanes::Lane& lane) {
+                     const Request& request = batch[static_cast<std::size_t>(i)];
+                     lane.plan->Score(masked[static_cast<std::size_t>(i)],
+                                      &lane.out);
+                     scores[static_cast<std::size_t>(i)] =
+                         core::StreamState::TailScore(lane.out, window,
+                                                      request.fresh);
+                   });
   } else {
     for (std::int64_t i = 0; i < batch_size; ++i) {
       const std::vector<float> out =
@@ -1282,13 +1247,14 @@ ServeStats FleetServer::stats() const {
                       detector_->quant_fallbacks();
   {
     std::lock_guard<std::mutex> lock(const_cast<std::mutex&>(score_mu_));
-    for (const auto& lane : lanes_) {
-      if (lane->plan == nullptr) continue;
+    for (std::int64_t i = 0; i < lanes_.size(); ++i) {
+      const core::InferencePlan* plan = lanes_.lane(i).plan.get();
+      if (plan == nullptr) continue;
       ++s.plan_lanes;
-      if (lane->quantized) ++s.quant_lanes;
+      if (plan->stats().quantized) ++s.quant_lanes;
       if (s.plan_arena_bytes == 0) {
-        s.plan_arena_bytes = lane->plan->stats().arena_bytes;
-        s.quant_arena_bytes = lane->plan->stats().quant_arena_bytes;
+        s.plan_arena_bytes = plan->stats().arena_bytes;
+        s.quant_arena_bytes = plan->stats().quant_arena_bytes;
       }
     }
   }

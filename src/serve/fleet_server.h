@@ -18,7 +18,7 @@
 //    the row (the stream is unchanged; the caller retries after a Flush);
 //  * a batcher that drains up to batch_max ready windows at a time and
 //    scores them in one ParallelFor pass over per-lane InferencePlan
-//    replicas (the PR 6 arena planner extended to a batch dimension: each
+//    replicas (core::PlanLanes, shared with TfmaeDetector::Score: each
 //    lane owns its own planned arena, so lanes replay concurrently with
 //    zero shared mutable state).
 //
@@ -54,6 +54,7 @@
 
 #include "core/detector.h"
 #include "core/drift.h"
+#include "core/plan_lanes.h"
 #include "core/streaming.h"
 #include "serve/fleet_snapshot.h"
 
@@ -387,7 +388,6 @@ class FleetServer {
 
  private:
   struct Entry;
-  struct Lane;
   struct Request;
 
   /// Drains and scores one batch; requires score_mu_. Returns windows
@@ -443,7 +443,7 @@ class FleetServer {
   // single dispatching thread (util/thread_pool.h), so batch execution is
   // serialized here while ingest continues concurrently.
   std::mutex score_mu_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  core::PlanLanes lanes_;
   /// Sticky int8 demotion: set when a quantized lane capture fails, so the
   /// server never mixes int8 and fp32 lanes in one batch. Guarded by
   /// score_mu_; the counter is read by stats() without it.

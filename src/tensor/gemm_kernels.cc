@@ -219,18 +219,24 @@ void Gemm(const float* a, const float* b, float* c, std::int64_t m,
 void BatchedGemmBt(const float* a, const float* b_t, float* c,
                    std::int64_t batch, std::int64_t m, std::int64_t k,
                    std::int64_t n) {
-  if (batch <= 0 || m <= 0 || n <= 0 || k < 0) return;
-  if (k == 0) return;
+  if (batch <= 0 || m <= 0 || n <= 0 || k <= 0) return;
+  // The workspace comes from the pool (no zero-fill: TransposePack writes
+  // every element), so steady-state backward gemms stay allocation-free.
+  pool::Scratch packed(batch * k * n);
+  BatchedGemmBt(a, b_t, c, batch, m, k, n, packed.data());
+}
+
+void BatchedGemmBt(const float* a, const float* b_t, float* c,
+                   std::int64_t batch, std::int64_t m, std::int64_t k,
+                   std::int64_t n, float* pack_scratch) {
+  if (batch <= 0 || m <= 0 || n <= 0 || k <= 0) return;
   // The nested BatchedGemm records under tensor.gemm as well; this site
   // isolates the packing overhead (gemm_bt total minus gemm total).
   TFMAE_TRACE("tensor.gemm_bt");
   // Pack B^T ([n, k] per batch) into row-major [k, n], then run the dense
-  // kernel. The packs cost O(k*n) against the kernel's O(m*k*n). The
-  // workspace comes from the pool (no zero-fill: TransposePack writes every
-  // element), so steady-state backward gemms stay allocation-free.
-  pool::Scratch packed(batch * k * n);
-  BatchedTransposePack(b_t, batch, n, k, packed.data());
-  BatchedGemm(a, packed.data(), c, batch, m, k, n);
+  // kernel. The packs cost O(k*n) against the kernel's O(m*k*n).
+  BatchedTransposePack(b_t, batch, n, k, pack_scratch);
+  BatchedGemm(a, pack_scratch, c, batch, m, k, n);
 }
 
 void GemmBt(const float* a, const float* b_t, float* c, std::int64_t m,

@@ -41,6 +41,13 @@ void BatchedGemmBt(const float* a, const float* b_t, float* c,
                    std::int64_t batch, std::int64_t m, std::int64_t k,
                    std::int64_t n);
 
+/// BatchedGemmBt packing into a caller-owned workspace of at least
+/// batch*K*N floats instead of a pool buffer (planned inference carves it
+/// out of its arena, so a replay never touches the allocator).
+void BatchedGemmBt(const float* a, const float* b_t, float* c,
+                   std::int64_t batch, std::int64_t m, std::int64_t k,
+                   std::int64_t n, float* pack_scratch);
+
 /// C[K,N] += A^T * G where A is [M,K] and G is [M,N].
 void GemmAtB(const float* a, const float* g, float* c, std::int64_t m,
              std::int64_t k, std::int64_t n);

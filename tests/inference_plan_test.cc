@@ -2,9 +2,11 @@
 // scoring on every dataset profile at 1/2/4 threads, capture after a
 // checkpoint round trip, re-capture on geometry change, the injected-fault
 // eager fallback, zero-allocation steady-state replay, the scrub canary,
-// the single-logical-allocation arena accounting, and the ledger `plan`
-// event.
+// the single-logical-allocation arena accounting, the ledger `plan`
+// event, and Score() spreading windows across plan lanes (bitwise equal to
+// a spelled-out serial pipeline at 1/2/4 threads).
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -338,6 +340,284 @@ TEST(InferencePlanTest, LedgerRecordsPlanEvent) {
   const std::string canonical = obs::CanonicalEventStream(*file);
   EXPECT_EQ(canonical.find("t_capture_ms"), std::string::npos)
       << "wall-clock t_* fields must not reach the canonical stream";
+}
+
+// ---- Score() across plan lanes (core/plan_lanes.h) -------------------------
+
+TfmaeConfig LaneConfig() {
+  TfmaeConfig config = TinyConfig();
+  config.score_stride = 5;  // overlapping windows; 5 divides no test length
+  return config;
+}
+
+// Score() spelled out one window at a time on this thread: extract,
+// normalize, mask (drawing from `mask_rng`), eager ScoreWindow, then the
+// overlap average in window order. Eager is bitwise the fp32 plan, so this
+// is what Score() must return at every thread count.
+std::vector<float> SerialReferenceScore(const TfmaeDetector& detector,
+                                        const data::TimeSeries& series,
+                                        Rng* mask_rng) {
+  const TfmaeConfig& config = detector.config();
+  const data::TimeSeries normalized = detector.normalizer().Apply(series);
+  const std::int64_t nf = normalized.num_features;
+  const std::int64_t window = std::min(config.window, normalized.length);
+  const std::int64_t stride =
+      config.score_stride > 0 ? std::min(config.score_stride, window) : window;
+  std::vector<double> sum(static_cast<std::size_t>(series.length), 0.0);
+  std::vector<std::int32_t> count(static_cast<std::size_t>(series.length), 0);
+  for (const std::int64_t start :
+       data::WindowStarts(normalized.length, window, stride)) {
+    std::vector<float> values(
+        normalized.values.begin() + static_cast<std::ptrdiff_t>(start * nf),
+        normalized.values.begin() +
+            static_cast<std::ptrdiff_t>((start + window) * nf));
+    if (config.per_window_normalization) {
+      PerWindowNormalize(&values, window, nf);
+    }
+    const std::vector<float> scores = detector.model()->ScoreWindow(
+        detector.model()->PrepareWindow(values, mask_rng));
+    for (std::int64_t t = 0; t < window; ++t) {
+      sum[static_cast<std::size_t>(start + t)] +=
+          scores[static_cast<std::size_t>(t)];
+      ++count[static_cast<std::size_t>(start + t)];
+    }
+  }
+  std::vector<float> out(static_cast<std::size_t>(series.length), 0.0f);
+  for (std::size_t t = 0; t < out.size(); ++t) {
+    if (count[t] > 0) {
+      out[t] = static_cast<float>(sum[t] / static_cast<double>(count[t]));
+    }
+  }
+  return out;
+}
+
+std::int64_t NumScoreWindows(const TfmaeConfig& config, std::int64_t length) {
+  const std::int64_t window = std::min(config.window, length);
+  const std::int64_t stride =
+      config.score_stride > 0 ? std::min(config.score_stride, window) : window;
+  return static_cast<std::int64_t>(
+      data::WindowStarts(length, window, stride).size());
+}
+
+// On every dataset profile, at 1/2/4 threads, Score() equals the serial
+// pipeline bit for bit, really runs planned, and stats().replays counts
+// every replay of the call summed over lanes.
+TEST(InferencePlanLanesTest, ScoreMatchesSerialReferenceOnAllProfiles) {
+  EnvGuard guard;
+  const TfmaeConfig config = LaneConfig();
+  for (const data::BenchmarkDataset dataset : data::MainDatasets()) {
+    const data::LabeledDataset full = data::MakeBenchmarkDataset(dataset, 0.1);
+    const data::TimeSeries train = Head(full.train, 256);
+    const data::TimeSeries test = Head(full.test, 98);
+    TfmaeDetector detector(config);
+    detector.Fit(train);
+    const std::vector<float> reference =
+        SerialReferenceScore(detector, test, nullptr);
+    const std::int64_t windows = NumScoreWindows(config, test.length);
+    for (const int threads : {1, 2, 4}) {
+      ThreadPool::Instance().SetNumThreads(threads);
+      const std::int64_t replays_before =
+          detector.inference_plan() == nullptr
+              ? 0
+              : detector.inference_plan()->stats().replays;
+      const std::vector<float> scores = detector.Score(test);
+      const std::string what =
+          data::DatasetName(dataset) + " @" + std::to_string(threads) + "T";
+      ASSERT_NE(detector.inference_plan(), nullptr) << what;
+      EXPECT_EQ(detector.plan_capture_failures(), 0) << what;
+      ExpectBitwiseEqual(scores, reference, what);
+      // The first call's window 0 is the capture window, scored eagerly.
+      EXPECT_EQ(detector.inference_plan()->stats().replays - replays_before,
+                threads == 1 ? windows - 1 : windows)
+          << what;
+    }
+  }
+}
+
+// The random ablation variants draw their masks from the detector's rng in
+// window order. A loaded detector's mask stream is reproducible from the
+// seed, so two successive calls must equal the serial pipeline continuing
+// one Rng.
+TEST(InferencePlanLanesTest, RandomMaskVariantsKeepTheirDrawOrder) {
+  EnvGuard guard;
+  const data::TimeSeries train = TinySignal(192, 3, 81);
+  const data::TimeSeries test = TinySignal(97, 3, 82);
+  const std::string prefix =
+      (std::filesystem::temp_directory_path() / "tfmae_lanes_random").string();
+  for (const bool temporal : {true, false}) {
+    TfmaeConfig config = LaneConfig();
+    if (temporal) {
+      config.temporal_mask = masking::TemporalMaskVariant::kRandom;
+    } else {
+      config.frequency_mask = masking::FrequencyMaskVariant::kRandom;
+    }
+    TfmaeDetector fitted(config);
+    fitted.Fit(train);
+    ASSERT_TRUE(fitted.SaveCheckpoint(prefix));
+    for (const int threads : {1, 2, 4}) {
+      ThreadPool::Instance().SetNumThreads(threads);
+      TfmaeDetector detector(config);
+      ASSERT_TRUE(detector.LoadCheckpoint(prefix));
+      // LoadCheckpoint reseeds with config.seed, then model construction
+      // draws the initial weights; the masks continue from there.
+      Rng mask_rng(config.seed);
+      const TfmaeModel init_draws(test.num_features, config, &mask_rng);
+      const std::string what = std::string(temporal ? "temporal" : "frequency") +
+                               " @" + std::to_string(threads) + "T";
+      for (int call = 0; call < 2; ++call) {
+        const std::vector<float> scores = detector.Score(test);
+        ASSERT_NE(detector.inference_plan(), nullptr) << what;
+        ExpectBitwiseEqual(scores,
+                           SerialReferenceScore(detector, test, &mask_rng),
+                           what + " call " + std::to_string(call));
+      }
+    }
+  }
+  for (const char* ext : {".config", ".norm", ".weights"}) {
+    std::error_code ec;
+    std::filesystem::remove(prefix + ext, ec);
+  }
+}
+
+// Edge geometries: a one-window series (no extra lanes), a length the
+// stride does not divide, and a series shorter than the window.
+TEST(InferencePlanLanesTest, EdgeLengthsMatchSerialReference) {
+  EnvGuard guard;
+  const TfmaeConfig config = LaneConfig();
+  const data::TimeSeries train = TinySignal(192, 2, 83);
+  TfmaeDetector detector(config);
+  detector.Fit(train);
+  for (const std::int64_t length : {config.window, std::int64_t{53},
+                                    config.window - 3}) {
+    const data::TimeSeries test = TinySignal(length, 2, 84);
+    const std::vector<float> reference =
+        SerialReferenceScore(detector, test, nullptr);
+    for (const int threads : {1, 2, 4}) {
+      ThreadPool::Instance().SetNumThreads(threads);
+      ExpectBitwiseEqual(detector.Score(test), reference,
+                         "length " + std::to_string(length) + " @" +
+                             std::to_string(threads) + "T");
+    }
+  }
+}
+
+// Int8 lanes share lane 0's precision: a quantized call scores the same at
+// every thread count, and every lane replays the int8 plan.
+TEST(InferencePlanLanesTest, Int8ScoreIsThreadCountInvariant) {
+  EnvGuard guard;
+  const TfmaeConfig config = LaneConfig();
+  const data::TimeSeries train = TinySignal(192, 2, 85);
+  const data::TimeSeries test = TinySignal(96, 2, 86);
+  TfmaeDetector fitted(config);
+  fitted.Fit(train);
+  ASSERT_TRUE(fitted.Calibrate(train));
+  std::vector<float> reference;
+  for (const int threads : {1, 2, 4}) {
+    ThreadPool::Instance().SetNumThreads(threads);
+    TfmaeDetector detector(config);
+    detector.Fit(train);
+    detector.SetQuantSpec(fitted.quant_spec());
+    detector.SetQuantMode(TfmaeDetector::QuantMode::kInt8);
+    detector.Score(test);  // captures; window 0 is the eager capture window
+    const std::vector<float> scores = detector.Score(test);
+    ASSERT_NE(detector.inference_plan(), nullptr);
+    EXPECT_TRUE(detector.inference_plan()->stats().quantized);
+    EXPECT_EQ(detector.quant_fallbacks(), 0);
+    if (threads == 1) {
+      reference = scores;
+    } else {
+      ExpectBitwiseEqual(scores, reference,
+                         "int8 @" + std::to_string(threads) + "T");
+    }
+  }
+}
+
+// An injected capture failure degrades the whole call to the serial eager
+// path at any thread count; the next call captures and spreads again.
+TEST(InferencePlanLanesTest, InjectedCaptureFaultFallsBackAtAnyThreadCount) {
+  EnvGuard guard;
+  const TfmaeConfig config = LaneConfig();
+  const data::TimeSeries train = TinySignal(192, 2, 87);
+  const data::TimeSeries test = TinySignal(91, 2, 88);
+  for (const int threads : {1, 2, 4}) {
+    ThreadPool::Instance().SetNumThreads(threads);
+    TfmaeDetector detector(config);
+    detector.Fit(train);
+    const std::vector<float> reference =
+        SerialReferenceScore(detector, test, nullptr);
+    const std::string what = std::to_string(threads) + "T";
+    {
+      fault::ScopedFaults faults("infer.plan.capture:#1");
+      ExpectBitwiseEqual(detector.Score(test), reference, what + " faulted");
+      EXPECT_EQ(detector.inference_plan(), nullptr) << what;
+      EXPECT_EQ(detector.plan_capture_failures(), 1) << what;
+    }
+    ExpectBitwiseEqual(detector.Score(test), reference, what + " recovered");
+    EXPECT_NE(detector.inference_plan(), nullptr) << what;
+  }
+}
+
+// Extra lanes are replicas of one capture: the ledger carries one `plan`
+// event per capture geometry, and the canonical stream is byte-identical
+// at 1/2/4 threads.
+TEST(InferencePlanLanesTest, LedgerIsThreadCountInvariant) {
+  EnvGuard guard;
+  const data::TimeSeries train = TinySignal(192, 2, 89);
+  const data::TimeSeries test = TinySignal(90, 2, 90);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "tfmae_lanes_ledger.jsonl")
+          .string();
+  std::string reference;
+  for (const int threads : {1, 2, 4}) {
+    ThreadPool::Instance().SetNumThreads(threads);
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    std::filesystem::remove(path + ".partial", ec);
+    obs::RunManifest manifest;
+    manifest.tool = "inference_plan_test";
+    manifest.run_id = "lanes_ledger";
+    ASSERT_TRUE(obs::Ledger::Instance().Open(path, manifest));
+    TfmaeDetector detector(LaneConfig());
+    detector.Fit(train);
+    detector.Score(test);
+    detector.Score(test);
+    ASSERT_TRUE(obs::Ledger::Instance().Close());
+    auto file = obs::ReadLedger(path);
+    std::filesystem::remove(path, ec);
+    ASSERT_TRUE(file.has_value());
+    int plan_events = 0;
+    for (const obs::LedgerEvent& event : file->events) {
+      if (event.type == "plan") ++plan_events;
+    }
+    EXPECT_EQ(plan_events, 1) << threads << "T";
+    const std::string canonical = obs::CanonicalEventStream(*file);
+    if (threads == 1) {
+      reference = canonical;
+    } else {
+      EXPECT_EQ(canonical, reference) << threads << "T";
+    }
+  }
+}
+
+// TFMAE_PLAN_PROFILE keeps its accumulators per plan, so concurrently
+// replaying lanes never share them (run under ThreadSanitizer by
+// scripts/check.sh thread and plan). Enough windows pass for each lane to
+// print a breakdown; the scores stay those of the serial pipeline.
+TEST(InferencePlanLanesTest, ProfilingMultiLaneScoreIsRaceFree) {
+  EnvGuard guard;
+  const TfmaeConfig config = LaneConfig();
+  const data::TimeSeries train = TinySignal(192, 2, 91);
+  const data::TimeSeries test = TinySignal(2100, 2, 92);
+  TfmaeDetector detector(config);
+  detector.Fit(train);
+  const std::vector<float> reference =
+      SerialReferenceScore(detector, test, nullptr);
+  ASSERT_EQ(setenv("TFMAE_PLAN_PROFILE", "1", 1), 0);
+  ThreadPool::Instance().SetNumThreads(4);
+  const std::vector<float> scores = detector.Score(test);
+  unsetenv("TFMAE_PLAN_PROFILE");
+  ASSERT_NE(detector.inference_plan(), nullptr);
+  ExpectBitwiseEqual(scores, reference, "profiled @4T");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // CV statistic correctness (naive == FFT), scale invariance, TopIndex,
 // mask-variant behaviour, and the frequency-mask decomposition identity.
 #include <cmath>
+#include <cstring>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -249,6 +251,64 @@ TEST(FrequencyMaskTest, HighFrequencyVariantMasksNyquistNeighborhood) {
         std::min(min_masked_frequency, std::min(bin, 40 - bin));
   }
   EXPECT_GE(min_masked_frequency, 40 / 2 - 8 / 2);  // near Nyquist
+}
+
+// The inverse-DFT coefficients evaluated term by term, as the masking
+// step did before it took the terms from a per-length table.
+void DirectCoefficients(const std::vector<std::int64_t>& bins,
+                        std::int64_t length, std::vector<float>* cos_coef,
+                        std::vector<float>* sin_coef) {
+  cos_coef->assign(static_cast<std::size_t>(length), 0.0f);
+  sin_coef->assign(static_cast<std::size_t>(length), 0.0f);
+  const double inv_len = 1.0 / static_cast<double>(length);
+  for (std::int64_t bin : bins) {
+    for (std::int64_t t = 0; t < length; ++t) {
+      const double angle = 2.0 * M_PI * static_cast<double>(bin) *
+                           static_cast<double>(t) * inv_len;
+      (*cos_coef)[static_cast<std::size_t>(t)] +=
+          static_cast<float>(std::cos(angle) * inv_len);
+      (*sin_coef)[static_cast<std::size_t>(t)] -=
+          static_cast<float>(std::sin(angle) * inv_len);
+    }
+  }
+}
+
+// The cached term tables must reproduce the direct formula bit for bit —
+// scores and training depend on every coefficient bit. 600 exceeds the
+// cached lengths and takes the per-call path. Four threads run the check
+// at once, so the first use of each table races its construction.
+TEST(FrequencyMaskTest, CoefficientsBitwiseEqualDirectFormula) {
+  const std::vector<std::int64_t> lengths = {2, 7, 32, 50, 100, 512, 600};
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (int th = 0; th < 4; ++th) {
+    threads.emplace_back([&, th] {
+      for (std::size_t li = 0; li < lengths.size(); ++li) {
+        const std::int64_t length = lengths[(li + th) % lengths.size()];
+        for (const FrequencyMaskVariant variant :
+             {FrequencyMaskVariant::kAmplitude,
+              FrequencyMaskVariant::kHighFrequency}) {
+          const std::vector<float> column = RandomSeries(
+              length, 1, static_cast<std::uint64_t>(length * 7 + th));
+          const auto masked = MaskFrequencyColumn(column, 0.4, variant, nullptr);
+          std::vector<float> cos_coef;
+          std::vector<float> sin_coef;
+          DirectCoefficients(masked.masked_bins, length, &cos_coef, &sin_coef);
+          const std::size_t bytes = cos_coef.size() * sizeof(float);
+          if (masked.cos_coef.size() != cos_coef.size() ||
+              masked.sin_coef.size() != sin_coef.size() ||
+              std::memcmp(masked.cos_coef.data(), cos_coef.data(), bytes) != 0 ||
+              std::memcmp(masked.sin_coef.data(), sin_coef.data(), bytes) != 0) {
+            ++mismatches[static_cast<std::size_t>(th)];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int th = 0; th < 4; ++th) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(th)], 0) << "thread " << th;
+  }
 }
 
 }  // namespace
