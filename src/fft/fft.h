@@ -46,6 +46,11 @@ std::vector<Complex> RealFft(const std::vector<double>& input);
 /// real part of the inverse transform (imaginary residue is discarded).
 std::vector<double> RealIfft(const std::vector<Complex>& spectrum);
 
+/// x * y as Bluestein's transform rounds its complex products (exposed for
+/// tests): on FMA targets the y.real() products are fused into their sums,
+/// elsewhere every product rounds before the sum.
+Complex BluesteinProduct(const Complex& x, const Complex& y);
+
 /// Reference O(n^2) DFT, used by tests and by the "w/o FFT" efficiency
 /// ablation (Fig. 10) to quantify the FFT speed-up.
 std::vector<Complex> NaiveDft(const std::vector<Complex>& input,
