@@ -196,7 +196,8 @@ BENCHMARK(BM_FrequencyMasking)->Arg(50)->Arg(100)->Arg(512);
 
 // ---- tensor backend sweep (--tensor_backend_json=PATH) ---------------------
 
-/// Median-of-reps seconds per call. Calibrates the iteration count so each
+/// Seconds per call: the fastest of 3 reps (the committed baselines were
+/// recorded with this statistic). Calibrates the iteration count so each
 /// rep runs for roughly `target_sec`.
 template <typename Fn>
 double TimePerCall(const Fn& fn, double target_sec = 0.15) {

@@ -47,8 +47,9 @@
 #
 # The plan mode is the pre-planned-inference soak from DESIGN.md §10: the
 # InferencePlan suites (bitwise eager-vs-planned scoring, arena accounting,
-# injected capture faults, the scrub canary, Score() across plan lanes
-# including a TFMAE_PLAN_PROFILE multi-lane run) run twice — once under
+# injected capture faults and the sticky int8 demotion, the scrub canary,
+# Score() across plan lanes including a TFMAE_PLAN_PROFILE multi-lane run)
+# run twice — once under
 # AddressSanitizer (arena offsets and lifetimes are hand-planned, so every
 # replay is an ASan workout) and once under ThreadSanitizer (lanes replay
 # concurrently, each dispatching its kernels inline). The thread mode runs
@@ -56,7 +57,8 @@
 #
 # The serve mode is the fleet-serving soak from docs/SERVING.md: the
 # serve suite (concurrent ingest, backpressure, batched-vs-sequential
-# bitwise identity at 1/2/4 threads, drain completeness) runs twice —
+# bitwise identity at 1/2/4 threads, drain completeness, the eager and the
+# fp32-demotion fallbacks under injected capture faults) runs twice —
 # under AddressSanitizer (per-lane plan arenas, snapshot lifetimes) and
 # under ThreadSanitizer (lock-free stream publication, lane claiming,
 # concurrent Push/Flush) — then a 30-second tfmae_serve smoke replays a

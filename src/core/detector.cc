@@ -20,7 +20,6 @@
 #include "util/logging.h"
 #include "util/memory.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace tfmae::core {
 namespace {
@@ -32,21 +31,10 @@ std::uint32_t ConfigCrc(const TfmaeConfig& config) {
   return util::Crc32(text.data(), text.size());
 }
 
-// Extracts window values [start, start+len) as a flat [len * N] vector.
-std::vector<float> ExtractWindow(const data::TimeSeries& series,
-                                 std::int64_t start, std::int64_t len) {
-  const std::int64_t n_feat = series.num_features;
-  return std::vector<float>(
-      series.values.begin() +
-          static_cast<std::ptrdiff_t>(start * n_feat),
-      series.values.begin() +
-          static_cast<std::ptrdiff_t>((start + len) * n_feat));
-}
-
 }  // namespace
 
 // In-place per-feature instance normalization of one window. Exported
-// (detector.h) so the serving plane can replicate Score()'s pipeline.
+// (detector.h) so the serving plane normalizes stream windows the same way.
 void PerWindowNormalize(std::vector<float>* values, std::int64_t len,
                         std::int64_t n_feat) {
   for (std::int64_t n = 0; n < n_feat; ++n) {
@@ -72,14 +60,6 @@ void PerWindowNormalize(std::vector<float>* values, std::int64_t len,
 
 namespace {
 
-// TFMAE_INFERENCE_PLAN gates pre-planned inference ("0" disables; default
-// on — capture self-verification makes the plan safe by construction).
-bool InferencePlanEnvDefault() {
-  const char* v = std::getenv("TFMAE_INFERENCE_PLAN");
-  if (v == nullptr || *v == '\0') return true;
-  return !(v[0] == '0' && v[1] == '\0');
-}
-
 // TFMAE_QUANT selects the scoring precision: "int8" enables the quantized
 // path (with automatic fp32 fallback), anything else is off.
 TfmaeDetector::QuantMode QuantModeEnvDefault() {
@@ -100,7 +80,6 @@ TfmaeDetector::TfmaeDetector(TfmaeConfig config, std::string name)
     : name_(std::move(name)),
       config_(config),
       rng_(config.seed),
-      plan_enabled_(InferencePlanEnvDefault()),
       quant_mode_(QuantModeEnvDefault()) {}
 
 void TfmaeDetector::SetQuantMode(QuantMode mode) {
@@ -137,11 +116,7 @@ bool TfmaeDetector::Calibrate(const data::TimeSeries& series,
   windows.reserve(std::min(starts.size(), kMaxCalibrationWindows));
   for (std::int64_t start : starts) {
     if (windows.size() >= kMaxCalibrationWindows) break;
-    std::vector<float> values = ExtractWindow(normalized, start, window);
-    if (config_.per_window_normalization) {
-      PerWindowNormalize(&values, window, normalized.num_features);
-    }
-    windows.push_back(model_->PrepareWindow(values, &mask_rng));
+    windows.push_back(PrepareAt(normalized, start, window, &mask_rng));
   }
 
   QuantSpec spec;
@@ -252,11 +227,7 @@ void TfmaeDetector::FitInternal(const data::TimeSeries& train,
   std::vector<MaskedWindow> windows;
   windows.reserve(starts.size());
   for (std::int64_t start : starts) {
-    std::vector<float> values = ExtractWindow(normalized, start, window);
-    if (config_.per_window_normalization) {
-      PerWindowNormalize(&values, window, normalized.num_features);
-    }
-    windows.push_back(model_->PrepareWindow(values, &rng_));
+    windows.push_back(PrepareAt(normalized, start, window, &rng_));
   }
   stats_ = TrainStats{};
   stats_.num_windows = static_cast<std::int64_t>(windows.size());
@@ -541,6 +512,20 @@ bool TfmaeDetector::LoadCheckpoint(const std::string& prefix) {
   return true;
 }
 
+MaskedWindow TfmaeDetector::PrepareAt(const data::TimeSeries& normalized,
+                                      std::int64_t start, std::int64_t window,
+                                      Rng* rng) const {
+  const std::int64_t n_feat = normalized.num_features;
+  std::vector<float> values(
+      normalized.values.begin() + static_cast<std::ptrdiff_t>(start * n_feat),
+      normalized.values.begin() +
+          static_cast<std::ptrdiff_t>((start + window) * n_feat));
+  if (config_.per_window_normalization) {
+    PerWindowNormalize(&values, window, n_feat);
+  }
+  return model_->PrepareWindow(values, rng);
+}
+
 void TfmaeDetector::CountQuantFallback(const std::string& reason) {
   ++quant_fallbacks_;
   TFMAE_COUNTER_ADD("infer.quant.fallbacks", 1);
@@ -551,78 +536,34 @@ void TfmaeDetector::CountQuantFallback(const std::string& reason) {
   }
 }
 
-bool TfmaeDetector::ScoreFirstWindow(const MaskedWindow& first,
-                                     const QuantSpec** quant, float* scores) {
-  const std::int64_t window = first.length;
-  if (lanes_.PrimaryMatches(first, *quant != nullptr)) {
-    PlanLanes::Lane& lane = lanes_.lane(0);
-    lane.plan->Score(first, &lane.out);
-    std::copy(lane.out.begin(), lane.out.begin() + window, scores);
-    return true;
-  }
-  // Capture (or re-capture after a geometry / precision change). The capture
-  // pass runs this window eagerly and leaves its scores in lane 0's `out`
-  // either way.
-  if (*quant != nullptr && TFMAE_FAULT("infer.quant.capture")) {
-    // Injected quant-capture fault: prove the fp32 fallback path.
-    CountQuantFallback("injected fault: infer.quant.capture");
-    *quant = nullptr;
-  }
-  std::string err;
-  bool captured = false;
-  if (TFMAE_FAULT("infer.plan.capture")) {
-    err = "injected fault: infer.plan.capture";
-    const std::vector<float> eager = model_->ScoreWindow(first);
-    std::copy(eager.begin(), eager.begin() + window, scores);
-  } else {
-    captured = lanes_.Ensure(*model_, 1, first, *quant, &err).ready == 1;
-    if (!captured && *quant != nullptr) {
-      // Quantized capture failed its self-verification (or lowering): fall
-      // back to a fp32 plan for this and future windows.
-      CountQuantFallback(err);
-      *quant = nullptr;
-      captured = lanes_.Ensure(*model_, 1, first, nullptr, &err).ready == 1;
-    }
-    const std::vector<float>& eager = lanes_.lane(0).out;
-    std::copy(eager.begin(), eager.begin() + window, scores);
-  }
-  if (!captured) {
-    lanes_.Reset();
-    ++plan_capture_failures_;
-    // The reason lands in the obs counters; scoring proceeds eagerly.
-    (void)err;
-    TFMAE_COUNTER_ADD("infer.plan.fallbacks", 1);
-    return false;
-  }
+void TfmaeDetector::RecordCapture() const {
   const InferencePlanStats& ps = lanes_.primary()->stats();
   TFMAE_COUNTER_ADD("infer.plan.detector_captures", 1);
-  if (obs::LedgerActive()) {
-    // One event per capture geometry: the extra lanes a call adds are
-    // replicas of this plan and stay out of the ledger, so the record does
-    // not depend on the thread count.
+  if (!obs::LedgerActive()) return;
+  // One event per capture geometry: the extra lanes a call adds are
+  // replicas of this plan and stay out of the ledger, so the record does
+  // not depend on the thread count.
+  obs::Ledger::Instance().Event(
+      "plan",
+      {{"ops", std::to_string(ps.ops)},
+       {"captured_ops", std::to_string(ps.captured_ops)},
+       {"fused_ops", std::to_string(ps.fused_ops)},
+       {"elided_reshapes", std::to_string(ps.elided_reshapes)},
+       {"slots", std::to_string(ps.slots)},
+       {"arena_bytes", std::to_string(ps.arena_bytes)},
+       // Wall-clock field: the t_ prefix keeps it out of the
+       // thread-count-invariant canonical stream.
+       {"t_capture_ms", std::to_string(ps.capture_ms)}});
+  if (ps.quantized) {
     obs::Ledger::Instance().Event(
-        "plan",
-        {{"ops", std::to_string(ps.ops)},
-         {"captured_ops", std::to_string(ps.captured_ops)},
-         {"fused_ops", std::to_string(ps.fused_ops)},
-         {"elided_reshapes", std::to_string(ps.elided_reshapes)},
-         {"slots", std::to_string(ps.slots)},
-         {"arena_bytes", std::to_string(ps.arena_bytes)},
-         // Wall-clock field: the t_ prefix keeps it out of the
-         // thread-count-invariant canonical stream.
-         {"t_capture_ms", std::to_string(ps.capture_ms)}});
-    if (ps.quantized) {
-      obs::Ledger::Instance().Event(
-          "quant",
-          {{"verdict", obs::JsonQuote("self_verified")},
-           {"isa", obs::JsonQuote(quant::QuantGemmIsa())},
-           {"sites", std::to_string(quant_spec_.sites.size())},
-           {"quant_linear_ops", std::to_string(ps.quant_linear_ops)},
-           {"elided_quant_pairs", std::to_string(ps.elided_quant_pairs)},
-           {"quant_arena_bytes", std::to_string(ps.quant_arena_bytes)}});
-    }
+        "quant",
+        {{"verdict", obs::JsonQuote("self_verified")},
+         {"isa", obs::JsonQuote(quant::QuantGemmIsa())},
+         {"sites", std::to_string(quant_spec_.sites.size())},
+         {"quant_linear_ops", std::to_string(ps.quant_linear_ops)},
+         {"elided_quant_pairs", std::to_string(ps.elided_quant_pairs)},
+         {"quant_arena_bytes", std::to_string(ps.quant_arena_bytes)}});
   }
-  return true;
 }
 
 std::vector<float> TfmaeDetector::Score(const data::TimeSeries& series) {
@@ -648,10 +589,23 @@ std::vector<float> TfmaeDetector::Score(const data::TimeSeries& series) {
       CountQuantFallback("calibration feature count mismatch: spec " +
                          std::to_string(quant_spec_.num_features) +
                          " vs series " + std::to_string(series.num_features));
-    } else if (!plan_enabled_) {
-      CountQuantFallback("inference plan disabled");
     } else {
       quant = &quant_spec_;
+    }
+  }
+
+  // Only the random ablation variants draw from rng_; their windows are
+  // all prepared here, in window order, so the draws keep their sequence.
+  const bool random_masks =
+      (config_.use_temporal_branch &&
+       config_.temporal_mask == masking::TemporalMaskVariant::kRandom) ||
+      (config_.use_frequency_branch &&
+       config_.frequency_mask == masking::FrequencyMaskVariant::kRandom);
+  std::vector<MaskedWindow> prepared;
+  if (random_masks) {
+    prepared.reserve(starts.size());
+    for (const std::int64_t start : starts) {
+      prepared.push_back(PrepareAt(normalized, start, window, &rng_));
     }
   }
 
@@ -661,78 +615,23 @@ std::vector<float> TfmaeDetector::Score(const data::TimeSeries& series) {
   const std::int64_t num_windows = static_cast<std::int64_t>(starts.size());
   std::vector<float> window_scores(
       static_cast<std::size_t>(num_windows * window));
-  auto row = [&](std::int64_t i) {
-    return window_scores.data() + i * window;
-  };
-  // Only the random ablation variants draw from rng_; their windows are
-  // prepared on this thread in window order so the draws stay in sequence.
-  const bool random_masks =
-      (config_.use_temporal_branch &&
-       config_.temporal_mask == masking::TemporalMaskVariant::kRandom) ||
-      (config_.use_frequency_branch &&
-       config_.frequency_mask == masking::FrequencyMaskVariant::kRandom);
-  auto prepare = [&](std::int64_t i) {
-    std::vector<float> values = ExtractWindow(
-        normalized, starts[static_cast<std::size_t>(i)], window);
-    if (config_.per_window_normalization) {
-      PerWindowNormalize(&values, window, normalized.num_features);
-    }
-    return model_->PrepareWindow(values, random_masks ? &rng_ : nullptr);
-  };
-
-  bool planned = false;
-  if (num_windows > 0) {
-    // Window 0 runs here: it replays on lane 0, or captures lane 0 (the
-    // capture pass scores it eagerly and returns those scores either way).
-    const MaskedWindow first = prepare(0);
-    if (plan_enabled_) {
-      planned = ScoreFirstWindow(first, &quant, row(0));
-    } else {
-      const std::vector<float> eager = model_->ScoreWindow(first);
-      std::copy(eager.begin(), eager.begin() + window, row(0));
-    }
-    if (planned && num_windows > 1) {
-      // The rest spread across cores, one lane per concurrent chunk. Extra
-      // lanes are captured from window 0 at lane 0's precision; if one
-      // fails, the lanes before it carry the call.
-      const std::int64_t want = std::min<std::int64_t>(
-          ThreadPool::Instance().num_threads(), num_windows - 1);
-      const std::int64_t lanes = std::max<std::int64_t>(
-          1, lanes_.Ensure(*model_, want, first, quant).ready);
-      auto replay = [&](std::int64_t i, const MaskedWindow& masked,
-                        PlanLanes::Lane& lane) {
-        lane.plan->Score(masked, &lane.out);
-        std::copy(lane.out.begin(), lane.out.begin() + window, row(i));
-      };
-      if (!random_masks) {
-        // Extract, normalize, mask and replay all inside the chunk: live
-        // state is one window per thread.
-        lanes_.ForEach(1, num_windows, lanes,
-                       [&](std::int64_t i, PlanLanes::Lane& lane) {
-                         replay(i, prepare(i), lane);
-                       });
-      } else {
-        const std::int64_t block = 4 * lanes;
-        std::vector<MaskedWindow> prepared;
-        for (std::int64_t b0 = 1; b0 < num_windows; b0 += block) {
-          const std::int64_t b1 = std::min(num_windows, b0 + block);
-          prepared.clear();
-          for (std::int64_t i = b0; i < b1; ++i) prepared.push_back(prepare(i));
-          lanes_.ForEach(b0, b1, lanes,
-                         [&](std::int64_t i, PlanLanes::Lane& lane) {
-                           replay(i, prepared[static_cast<std::size_t>(i - b0)],
-                                  lane);
-                         });
-        }
-      }
-      lanes_.FoldReplays();
-    }
-  }
-  if (!planned) {
-    for (std::int64_t i = 1; i < num_windows; ++i) {
-      const std::vector<float> eager = model_->ScoreWindow(prepare(i));
-      std::copy(eager.begin(), eager.begin() + window, row(i));
-    }
+  const PlanLanes::ScoreResult scored = lanes_.Score(
+      *model_, num_windows, quant,
+      [&](std::int64_t i) {
+        const std::size_t k = static_cast<std::size_t>(i);
+        return random_masks ? std::move(prepared[k])
+                            : PrepareAt(normalized, starts[k], window, nullptr);
+      },
+      [&](std::int64_t i, const std::vector<float>& out) {
+        std::copy(out.begin(), out.begin() + window,
+                  window_scores.begin() + i * window);
+      });
+  if (!scored.quant_fallback.empty()) CountQuantFallback(scored.quant_fallback);
+  if (scored.primary_captured) RecordCapture();
+  if (num_windows > 0 && !scored.planned) {
+    // The reason lands in the obs counters; the call scored eagerly.
+    ++plan_capture_failures_;
+    TFMAE_COUNTER_ADD("infer.plan.fallbacks", 1);
   }
 
   std::vector<double> score_sum(static_cast<std::size_t>(series.length), 0.0);
@@ -740,7 +639,7 @@ std::vector<float> TfmaeDetector::Score(const data::TimeSeries& series) {
       static_cast<std::size_t>(series.length), 0);
   for (std::int64_t i = 0; i < num_windows; ++i) {
     const std::int64_t start = starts[static_cast<std::size_t>(i)];
-    const float* scores_i = row(i);
+    const float* scores_i = window_scores.data() + i * window;
     for (std::int64_t t = 0; t < window; ++t) {
       score_sum[static_cast<std::size_t>(start + t)] += scores_i[t];
       ++score_count[static_cast<std::size_t>(start + t)];

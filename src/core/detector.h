@@ -20,8 +20,8 @@ namespace tfmae::core {
 /// In-place per-feature instance normalization of one window ([len x
 /// n_feat], row-major) — the optional per-window step of the scoring
 /// pipeline (config.per_window_normalization). Exported so that
-/// serve::FleetServer can replicate TfmaeDetector::Score's exact per-window
-/// pipeline outside the detector.
+/// serve::FleetServer prepares stream windows exactly as
+/// TfmaeDetector::Score prepares series windows.
 void PerWindowNormalize(std::vector<float>* values, std::int64_t len,
                         std::int64_t n_feat);
 
@@ -111,20 +111,14 @@ class TfmaeDetector : public AnomalyDetector {
   /// these to normalize stream windows exactly as Score() would.
   const data::ZScoreNormalizer& normalizer() const { return normalizer_; }
 
-  /// Pre-planned inference (DESIGN.md §10). On by default (TFMAE_INFERENCE_PLAN=0
-  /// disables): the first scored window captures the graph into an
-  /// InferencePlan and later windows replay it, bitwise-identically to the
-  /// eager path. Any capture failure falls back to eager scoring.
-  void SetInferencePlanEnabled(bool on) { plan_enabled_ = on; }
-  bool inference_plan_enabled() const { return plan_enabled_; }
-
-  /// The active plan (null until a Score() built one, or when disabled):
-  /// lane 0 of the lane set Score() spreads windows over, its stats()
-  /// counting the replays of every lane.
+  /// The active plan (DESIGN.md §10; null until a Score() captured one, or
+  /// after a failed capture): lane 0 of the lane set Score() spreads windows
+  /// over, its stats() counting the replays of every lane. Replay is
+  /// bitwise the eager path; a failed capture scores the call eagerly.
   const InferencePlan* inference_plan() const { return lanes_.primary(); }
 
-  /// Capture attempts that fell back to eager scoring (fault injection or
-  /// unsupported graphs).
+  /// Score() calls that fell back to eager scoring because no plan could be
+  /// captured (fault injection or unsupported graphs).
   std::int64_t plan_capture_failures() const { return plan_capture_failures_; }
 
   /// Int8 scoring path (DESIGN.md §12). The default tracks TFMAE_QUANT
@@ -133,7 +127,9 @@ class TfmaeDetector : public AnomalyDetector {
   /// InferencePlan; a missing spec, a feature-count mismatch between the
   /// spec and the scored series, or a failed quantized capture each fall
   /// back to the fp32 path automatically (counted in quant_fallbacks(),
-  /// ledger-visible as a `quant` event with verdict=fallback).
+  /// ledger-visible as a `quant` event with verdict=fallback). A failed
+  /// quantized capture is sticky: scoring stays fp32 until the weights, the
+  /// calibration spec or the quant mode change.
   enum class QuantMode { kOff = 0, kInt8 = 1 };
   void SetQuantMode(QuantMode mode);
   QuantMode quant_mode() const { return quant_mode_; }
@@ -149,7 +145,8 @@ class TfmaeDetector : public AnomalyDetector {
   void SetQuantSpec(QuantSpec spec);
   bool has_quant_spec() const { return !quant_spec_.empty(); }
 
-  /// Score() calls / captures that wanted int8 but ran fp32 instead.
+  /// Int8 requests that ran fp32 instead: one per Score() call without a
+  /// usable spec, one per failed quantized capture.
   std::int64_t quant_fallbacks() const { return quant_fallbacks_; }
 
   /// Calibration score reference for the online drift monitor (core/drift.h).
@@ -186,21 +183,22 @@ class TfmaeDetector : public AnomalyDetector {
   TrainStats stats_;
   bool fitted_ = false;
 
-  /// Score() step for window 0: replays it on lane 0, capturing lane 0
-  /// first when no plan of this geometry and precision exists (`*quant`
-  /// drops to null on a quantized-capture fallback). Writes the window's
-  /// scores to `scores` either way; false means the capture failed and the
-  /// call scores eagerly.
-  bool ScoreFirstWindow(const MaskedWindow& first, const QuantSpec** quant,
-                        float* scores);
+  /// Window [start, start + window) of a globally normalized series,
+  /// per-window normalized when configured, then masked (`rng` feeds the
+  /// random ablation variants). Fit, Calibrate and Score all slice through
+  /// here.
+  MaskedWindow PrepareAt(const data::TimeSeries& normalized,
+                         std::int64_t start, std::int64_t window,
+                         Rng* rng) const;
   /// One int8-to-fp32 fallback: counter, ledger event, quant_fallbacks().
   void CountQuantFallback(const std::string& reason);
+  /// A new lane-0 plan: counter, ledger `plan` (and int8 `quant`) event.
+  void RecordCapture() const;
 
-  // Pre-planned inference state. The lanes are invalidated whenever the
-  // weights change (Fit/Resume/LoadCheckpoint) or the window geometry
-  // stops matching.
+  // Pre-planned inference state. The lanes are reset whenever the weights,
+  // the quant mode or the calibration spec change; a geometry change
+  // re-captures them.
   PlanLanes lanes_;
-  bool plan_enabled_ = true;
   std::int64_t plan_capture_failures_ = 0;
 
   // Int8 scoring state (DESIGN.md §12).

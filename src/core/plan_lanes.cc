@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
+#include "util/fault.h"
 #include "util/thread_pool.h"
 
 namespace tfmae::core {
@@ -16,29 +18,89 @@ bool HoldsPlanFor(const PlanLanes::Lane& lane, const MaskedWindow& example,
 
 }  // namespace
 
-PlanLanes::EnsureResult PlanLanes::Ensure(const TfmaeModel& model,
-                                          std::int64_t want,
-                                          const MaskedWindow& example,
-                                          const QuantSpec* quant,
-                                          std::string* error) {
-  want = std::max<std::int64_t>(want, 1);
+PlanLanes::ScoreResult PlanLanes::Score(const TfmaeModel& model,
+                                        std::int64_t count,
+                                        const QuantSpec* quant,
+                                        const Prepare& prepare,
+                                        const Take& take) {
+  ScoreResult result;
+  if (count <= 0) return result;
+  const MaskedWindow first = prepare(0);
+  if (quant_demoted_) quant = nullptr;
+
+  // One lane per concurrent chunk, all of window 0's geometry.
+  const std::int64_t want = std::min<std::int64_t>(
+      count, ThreadPool::Instance().num_threads());
+  bool stale = size() < want;
+  for (std::int64_t i = 0; i < want && !stale; ++i) {
+    stale = !HoldsPlanFor(lane(i), first, quant != nullptr);
+  }
+  std::int64_t lanes = want;
+  if (stale) {
+    lanes = 0;
+    // Why a capture failed; only a quantized failure reports it.
+    std::string error;
+    if (!TFMAE_FAULT("infer.plan.capture")) {
+      if (quant != nullptr) {
+        if (TFMAE_FAULT("infer.quant.capture")) {
+          error = "injected fault: infer.quant.capture";
+        } else {
+          lanes = Ensure(model, want, first, quant, &result, &error);
+        }
+        if (lanes < want) {
+          // Demote the whole set: one call never mixes precisions, so the
+          // lane a window lands on never shows in its scores.
+          result.quant_fallback = std::move(error);
+          quant_demoted_ = true;
+          lanes_.clear();
+          quant = nullptr;
+        }
+      }
+      if (quant == nullptr) {
+        lanes = Ensure(model, want, first, nullptr, &result, &error);
+      }
+    }
+  }
+
+  if (lanes == 0) {
+    // No plan: serial eager scoring, bitwise what a plan would replay. The
+    // next call tries to capture again.
+    lanes_.clear();
+    result.primary_captured = false;
+    take(0, model.ScoreWindow(first));
+    for (std::int64_t i = 1; i < count; ++i) {
+      take(i, model.ScoreWindow(prepare(i)));
+    }
+    return result;
+  }
+  result.planned = true;
+  ForEach(0, count, lanes, [&](std::int64_t i, Lane& lane) {
+    MaskedWindow own;
+    const MaskedWindow& window = i == 0 ? first : (own = prepare(i));
+    lane.plan->Score(window, &lane.out);
+    take(i, lane.out);
+  });
+  FoldReplays();
+  return result;
+}
+
+std::int64_t PlanLanes::Ensure(const TfmaeModel& model, std::int64_t want,
+                               const MaskedWindow& example,
+                               const QuantSpec* quant, ScoreResult* result,
+                               std::string* error) {
   while (size() < want) lanes_.push_back(std::make_unique<Lane>());
-  EnsureResult result;
-  for (; result.ready < want; ++result.ready) {
-    Lane& l = lane(result.ready);
+  std::int64_t ready = 0;
+  for (; ready < want; ++ready) {
+    Lane& l = lane(ready);
     if (HoldsPlanFor(l, example, quant != nullptr)) continue;
     l.plan.reset();
     l.folded_replays = 0;
     l.plan = InferencePlan::Capture(model, example, &l.out, error, quant);
     if (l.plan == nullptr) break;
-    ++result.captured;
+    ++result->captured;
+    if (ready == 0) result->primary_captured = true;
   }
-  return result;
-}
-
-bool PlanLanes::PrimaryMatches(const MaskedWindow& example,
-                               bool quantized) const {
-  return !lanes_.empty() && HoldsPlanFor(lane(0), example, quantized);
+  return ready;
 }
 
 void PlanLanes::ForEach(std::int64_t begin, std::int64_t end,

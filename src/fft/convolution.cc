@@ -27,7 +27,9 @@ std::vector<double> ConvolveWithSpectrum(const std::vector<double>& a,
                                          std::int64_t out_len) {
   std::vector<Complex> fa =
       PaddedSpectrum(a, static_cast<std::int64_t>(fb.size()));
-  for (std::size_t i = 0; i < fa.size(); ++i) fa[i] *= fb[i];
+  for (std::size_t i = 0; i < fa.size(); ++i) {
+    fa[i] = BluesteinProduct(fb[i], fa[i]);
+  }
   FftPow2(&fa, /*inverse=*/true);
   std::vector<double> out(static_cast<std::size_t>(out_len));
   for (std::int64_t i = 0; i < out_len; ++i) {

@@ -97,8 +97,9 @@ std::vector<Complex> Bluestein(const std::vector<Complex>& input,
 // product into vfmaddsub even under -ffp-contract=off, which fuses the
 // product holding y.real() into its sum and rounds the other first; without
 // FMA both round before the sum. Which operand the vectorizer treats as y
-// depends on how the surrounding loop compiles, so Bluestein's products are
-// spelled out and keep their bits when that code changes.
+// depends on how the surrounding loop compiles, so Bluestein's and the
+// convolution's products are spelled out and keep their bits when that code
+// changes.
 Complex BluesteinProduct(const Complex& x, const Complex& y) {
 #ifdef __FMA__
   return Complex(std::fma(y.real(), x.real(), -(x.imag() * y.imag())),
@@ -117,6 +118,12 @@ std::int64_t NextPowerOfTwo(std::int64_t n) {
   return p;
 }
 
+// The butterfly and twiddle products round both terms before the sum, as on
+// a non-FMA target, in every build. GCC's SLP vectorizer recognizes a
+// complex product, std::complex's or spelled out, and fuses it into
+// vfmaddsub whatever -ffp-contract says, in some build flavours (the address
+// and undefined sanitizer builds) and not in others, so it is off here.
+__attribute__((optimize("no-tree-slp-vectorize")))
 void FftPow2(std::vector<Complex>* data, bool inverse) {
   const std::size_t n = data->size();
   TFMAE_CHECK_MSG(IsPowerOfTwo(static_cast<std::int64_t>(n)),
@@ -131,10 +138,13 @@ void FftPow2(std::vector<Complex>* data, bool inverse) {
       Complex w(1.0, 0.0);
       for (std::size_t j = 0; j < len / 2; ++j) {
         const Complex u = (*data)[i + j];
-        const Complex v = (*data)[i + j + len / 2] * w;
+        const Complex x = (*data)[i + j + len / 2];
+        const Complex v(x.real() * w.real() - x.imag() * w.imag(),
+                        x.real() * w.imag() + x.imag() * w.real());
         (*data)[i + j] = u + v;
         (*data)[i + j + len / 2] = u - v;
-        w *= wlen;
+        w = Complex(w.real() * wlen.real() - w.imag() * wlen.imag(),
+                    w.real() * wlen.imag() + w.imag() * wlen.real());
       }
     }
   }

@@ -46,9 +46,10 @@ std::vector<Complex> RealFft(const std::vector<double>& input);
 /// real part of the inverse transform (imaginary residue is discarded).
 std::vector<double> RealIfft(const std::vector<Complex>& spectrum);
 
-/// x * y as Bluestein's transform rounds its complex products (exposed for
-/// tests): on FMA targets the y.real() products are fused into their sums,
-/// elsewhere every product rounds before the sum.
+/// x * y as Bluestein's transform and FftConvolve's spectrum product round
+/// it (exposed for tests): on FMA targets the y.real() products are fused
+/// into their sums, elsewhere every product rounds before the sum. FftPow2's
+/// products round before the sum on every target.
 Complex BluesteinProduct(const Complex& x, const Complex& y);
 
 /// Reference O(n^2) DFT, used by tests and by the "w/o FFT" efficiency

@@ -21,7 +21,6 @@
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace tfmae::serve {
 namespace {
@@ -408,43 +407,6 @@ AdmitStatus FleetServer::Push(std::int64_t stream,
   return AdmitStatus::kQueued;
 }
 
-bool FleetServer::EnsureLanesLocked(std::int64_t want,
-                                    const core::MaskedWindow& example) {
-  // Lane precision: int8 when the detector selected it and carries a
-  // calibration spec, unless a quantized capture already failed (sticky —
-  // mixed-precision lanes would make batch scores depend on lane
-  // assignment, breaking the batch-composition invariance contract).
-  const core::QuantSpec* spec = nullptr;
-  if (!quant_capture_failed_ &&
-      detector_->quant_mode() == core::TfmaeDetector::QuantMode::kInt8 &&
-      detector_->has_quant_spec()) {
-    spec = &detector_->quant_spec();
-  }
-  const core::TfmaeModel& model = *detector_->model();
-  core::PlanLanes::EnsureResult lanes =
-      lanes_.Ensure(model, want, example, spec);
-  std::int64_t captured = lanes.captured;
-  if (lanes.ready < want && spec != nullptr) {
-    // A failed int8 capture demotes the WHOLE server to fp32 lanes
-    // (sticky): every already-captured int8 lane is dropped and the lanes
-    // are captured again in fp32, so one batch never mixes precisions.
-    quant_capture_failed_ = true;
-    quant_lane_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    TFMAE_COUNTER_ADD("serve.quant.capture_fallbacks", 1);
-    lanes_.Reset();
-    lanes = lanes_.Ensure(model, want, example, nullptr);
-    captured += lanes.captured;
-  }
-  TFMAE_COUNTER_ADD("serve.plan.lane_captures", captured);
-  if (lanes.ready < want) {
-    // Capture failure never produces a wrong plan, only no plan: this
-    // batch scores eagerly and the next batch retries the capture.
-    TFMAE_COUNTER_ADD("serve.plan.capture_fallbacks", 1);
-    return false;
-  }
-  return true;
-}
-
 std::int64_t FleetServer::ScoreBatchLocked() {
   std::vector<Request> batch;
   {
@@ -466,76 +428,64 @@ std::int64_t FleetServer::ScoreBatchLocked() {
   const std::uint64_t t0 = NowNs();
   // Heartbeat for the watchdog: this batch is now in flight.
   batch_start_ns_.store(t0, std::memory_order_release);
-  const bool fault_slow_batch = TFMAE_FAULT("serve.score");
-  if (fault_slow_batch) {
+  if (TFMAE_FAULT("serve.score")) {
     // Injected scoring stall: long enough for a tight watchdog deadline to
-    // fire, and the batch is forced onto the eager path (bitwise-identical
-    // scores by the plan's capture-time self-verification, so the
-    // determinism contract is unaffected).
+    // fire; the batch then scores normally.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-
-  // Phase 1 (dispatch thread, serial): replicate TfmaeDetector::Score's
-  // exact per-window pipeline — global z-score, optional per-window
-  // instance normalization, mask preparation. Keeping it off worker threads
-  // keeps the parallel phase a pure replay loop. At this geometry (W32 x F4)
-  // masking is about a tenth of a window; at the paper's W100 x F38 it is
-  // over half, which is why Score() masks inside its parallel chunks.
-  std::vector<core::MaskedWindow> masked(batch.size());
-  for (std::int64_t i = 0; i < batch_size; ++i) {
-    Request& request = batch[static_cast<std::size_t>(i)];
-    data::TimeSeries series;
-    series.length = window;
-    series.num_features = model.num_features();
-    series.values = std::move(request.values);
-    data::TimeSeries normalized = detector_->normalizer().Apply(series);
-    if (config.per_window_normalization) {
-      core::PerWindowNormalize(&normalized.values, window,
-                               normalized.num_features);
-    }
-    Rng mask_rng(MixSeed(config.seed, request.stream, request.seq));
-    masked[static_cast<std::size_t>(i)] =
-        model.PrepareWindow(normalized.values, &mask_rng);
-  }
-
-  // Stage clock: phase 1 (normalization + masking) is the batch-formation
-  // stage of every window in this batch.
+  // Stage clock: pop -> here is the batch-formation stage; masking counts
+  // in the score stage, where it runs on the lanes.
   const std::uint64_t t_prep = NowNs();
 
-  // Phase 2: score. Planned path: one ParallelFor over the batch, each
-  // chunk claiming a free lane (core/plan_lanes.h) — inside a chunk every
-  // kernel-level ParallelFor runs inline at fixed chunk boundaries, so each
-  // window's scores are bitwise those of a sequential replay.
-  const std::int64_t lane_want = std::min<std::int64_t>(
-      batch_size, ThreadPool::Instance().num_threads());
-  const bool planned = !fault_slow_batch && detector_->inference_plan_enabled() &&
-                       EnsureLanesLocked(lane_want, masked[0]);
+  // Lane precision: int8 when the detector selected it and carries a
+  // calibration spec. A failed int8 capture demotes this server's lanes to
+  // fp32 for good (core/plan_lanes.h).
+  const core::QuantSpec* quant = nullptr;
+  if (detector_->quant_mode() == core::TfmaeDetector::QuantMode::kInt8 &&
+      detector_->has_quant_spec()) {
+    quant = &detector_->quant_spec();
+  }
+  // The detector's scoring path, window for window: global z-score,
+  // optional per-window instance normalization, masks from a per-(stream,
+  // seq) rng, then the tail of the window's scores.
   std::vector<float> scores(batch.size(), 0.0f);
-  if (planned) {
-    lanes_.ForEach(0, batch_size, lane_want,
-                   [&](std::int64_t i, core::PlanLanes::Lane& lane) {
-                     const Request& request = batch[static_cast<std::size_t>(i)];
-                     lane.plan->Score(masked[static_cast<std::size_t>(i)],
-                                      &lane.out);
-                     scores[static_cast<std::size_t>(i)] =
-                         core::StreamState::TailScore(lane.out, window,
-                                                      request.fresh);
-                   });
-  } else {
-    for (std::int64_t i = 0; i < batch_size; ++i) {
-      const std::vector<float> out =
-          model.ScoreWindow(masked[static_cast<std::size_t>(i)]);
-      scores[static_cast<std::size_t>(i)] = core::StreamState::TailScore(
-          out, window, batch[static_cast<std::size_t>(i)].fresh);
-    }
+  const core::PlanLanes::ScoreResult scored = lanes_.Score(
+      model, batch_size, quant,
+      [&](std::int64_t i) {
+        Request& request = batch[static_cast<std::size_t>(i)];
+        data::TimeSeries series;
+        series.length = window;
+        series.num_features = model.num_features();
+        series.values = std::move(request.values);
+        data::TimeSeries normalized = detector_->normalizer().Apply(series);
+        if (config.per_window_normalization) {
+          core::PerWindowNormalize(&normalized.values, window,
+                                   normalized.num_features);
+        }
+        Rng mask_rng(MixSeed(config.seed, request.stream, request.seq));
+        return model.PrepareWindow(normalized.values, &mask_rng);
+      },
+      [&](std::int64_t i, const std::vector<float>& out) {
+        scores[static_cast<std::size_t>(i)] = core::StreamState::TailScore(
+            out, window, batch[static_cast<std::size_t>(i)].fresh);
+      });
+  if (!scored.quant_fallback.empty()) {
+    quant_lane_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+    TFMAE_COUNTER_ADD("serve.quant.capture_fallbacks", 1);
+  }
+  TFMAE_COUNTER_ADD("serve.plan.lane_captures", scored.captured);
+  if (!scored.planned) {
+    // A failed capture never produces a wrong plan, only no plan: this
+    // batch scored eagerly and the next batch retries the capture.
+    TFMAE_COUNTER_ADD("serve.plan.capture_fallbacks", 1);
     eager_windows_.fetch_add(batch_size, std::memory_order_relaxed);
   }
   const std::uint64_t t_scored = NowNs();
   const std::uint64_t elapsed = t_scored - t0;
   RecordLatency(elapsed / static_cast<std::uint64_t>(batch_size), batch_size);
 
-  // Phase 3 (dispatch thread, serial, admission order): commit tail scores
-  // and publish results.
+  // Commit tail scores and publish results (dispatch thread, serial,
+  // admission order).
   std::vector<ScoredWindow> done(batch.size());
   for (std::int64_t i = 0; i < batch_size; ++i) {
     const Request& request = batch[static_cast<std::size_t>(i)];

@@ -17,10 +17,11 @@
 //    queue is full, Push returns AdmitStatus::kOverloaded WITHOUT consuming
 //    the row (the stream is unchanged; the caller retries after a Flush);
 //  * a batcher that drains up to batch_max ready windows at a time and
-//    scores them in one ParallelFor pass over per-lane InferencePlan
-//    replicas (core::PlanLanes, shared with TfmaeDetector::Score: each
-//    lane owns its own planned arena, so lanes replay concurrently with
-//    zero shared mutable state).
+//    scores them through core::PlanLanes, the scoring path
+//    TfmaeDetector::Score uses too: each window is normalized, masked and
+//    replayed inside one ParallelFor chunk on its own InferencePlan
+//    replica (each lane owns its planned arena, so lanes replay
+//    concurrently with zero shared mutable state).
 //
 // Determinism contract: a window's score depends only on its values — the
 // plan replay is bitwise-identical to eager scoring at any thread count,
@@ -233,7 +234,8 @@ struct ServeStats {
   // Stage-attributed timeline sums (ns), mirrored by the `serve.stage.*`
   // histograms while collection is on. Queue is each window's own
   // admit->pop wait; batch/score/result are the window's share of its
-  // batch's prepare/score/commit phases. By construction
+  // batch's formation (pop -> scoring starts), scoring (normalization,
+  // masking, replay) and commit phases. By construction
   //   stage_total_ns == stage_queue_ns + stage_batch_ns
   //                     + stage_score_ns + stage_result_ns.
   std::int64_t stage_queue_ns = 0;
@@ -395,9 +397,6 @@ class FleetServer {
   std::int64_t ScoreBatchLocked();
   /// One-batch flush from the ingest path (skips if a batch is in flight).
   void TryFlush();
-  /// Ensures >= `want` capture-verified lanes; requires score_mu_. Returns
-  /// false when capture fails (the batch falls back to eager scoring).
-  bool EnsureLanesLocked(std::int64_t want, const core::MaskedWindow& example);
   void RecordLatency(std::uint64_t ns_per_window, std::int64_t windows);
   /// Post-commit accounting of one scored batch: per-stage histograms and
   /// sums, experienced-latency quantile samples, per-stream SLO budgets,
@@ -443,11 +442,9 @@ class FleetServer {
   // single dispatching thread (util/thread_pool.h), so batch execution is
   // serialized here while ingest continues concurrently.
   std::mutex score_mu_;
+  /// This server's own lanes (guarded by score_mu_), never the detector's.
   core::PlanLanes lanes_;
-  /// Sticky int8 demotion: set when a quantized lane capture fails, so the
-  /// server never mixes int8 and fp32 lanes in one batch. Guarded by
-  /// score_mu_; the counter is read by stats() without it.
-  bool quant_capture_failed_ = false;
+  /// Failed int8 lane captures (each demotes the lanes to fp32 for good).
   std::atomic<std::int64_t> quant_lane_fallbacks_{0};
 
   std::mutex results_mu_;

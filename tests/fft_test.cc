@@ -195,6 +195,59 @@ TEST(FftTest, BluesteinProductRoundingMatchesRecordedBits) {
 #endif
 }
 
+// FftPow2's butterfly and twiddle products round both terms before the sum
+// on every build, FMA or not, sanitized or not. A fused product (what GCC's
+// vectorizer makes of a plain complex product in some build flavours)
+// changes the last element.
+TEST(FftTest, Pow2ProductRoundingMatchesRecordedBits) {
+  std::vector<Complex> data = {
+      {0x1.00000004p+0, 0x1.0000000800001p+0},
+      {0x1.0000001000002p+0, 0x1.fffffffcp-1},
+      {-0.3, 0.7},
+      {0.1, -1.3},
+      {2.5, 0.25},
+      {-1.75, 0.125},
+      {0.6, -0.9},
+      {1.1, 0.3}};
+  FftPow2(&data, /*inverse=*/false);
+  const std::vector<Complex> expected = {
+      {0x1.10000005p+2, 0x1.2cccccd2ccccep+0},
+      {0x1.1e977cabf6a97p+1, 0x1.14d1cb5a13cdcp+1},
+      {0x1.54cccccd4ccccp+2, 0x1.b333332f33334p+1},
+      {-0x1.90ea567dee20ap+2, -0x1.919a74f859624p+1},
+      {0x1.acccccc6ccccbp+1, 0x1.d99999ad9999cp-1},
+      {-0x1.04fde30e5d0fdp+1, 0x1.23293628a5319p+0},
+      {0x1.1333333933336p+0, -0x1.ffffffap-2},
+      {0x1.07626cc854f4p-4, 0x1.6b340e99f2fbep+1}};
+  ASSERT_EQ(data.size(), expected.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(data[i].real(), expected[i].real()) << "i=" << i;
+    EXPECT_EQ(data[i].imag(), expected[i].imag()) << "i=" << i;
+  }
+}
+
+// FftConvolve's spectrum product goes through BluesteinProduct, so it keeps
+// one rounding per target ISA in every build flavour: the first and last
+// outputs tell the fused product apart from the unfused one.
+TEST(FftTest, ConvolutionProductRoundingMatchesRecordedBits) {
+  const std::vector<double> a = {-0x1.ce4064b3ae873p-7, -0x1.0232b91aaa7a5p+0,
+                                 -0x1.d88c949980295p+0};
+  const std::vector<double> b = {0x1.1122350011511p+0, 0x1.938c38139f4f7p-1,
+                                 -0x1.46952c7a96694p-10};
+  const std::vector<double> out = FftConvolve(a, b);
+  ASSERT_EQ(out.size(), 5u);
+#ifdef __FMA__
+  EXPECT_EQ(out[0], -0x1.ed306fa471128p-7);
+  EXPECT_EQ(out[4], 0x1.2d6b3094346ap-9);
+#else
+  EXPECT_EQ(out[0], -0x1.ed306fa471124p-7);
+  EXPECT_EQ(out[4], 0x1.2d6b30943469p-9);
+#endif
+  EXPECT_EQ(out[1], -0x1.1653442596933p+0);
+  EXPECT_EQ(out[2], -0x1.61d6c57bc35bcp+1);
+  EXPECT_EQ(out[3], -0x1.7421b865ea578p+0);
+}
+
 // Bluestein's transform with its chirp and kernel spectrum rebuilt on every
 // call, as the library computed it before caching them per length.
 std::vector<Complex> UncachedBluestein(const std::vector<Complex>& input,

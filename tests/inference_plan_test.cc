@@ -4,7 +4,7 @@
 // eager fallback, zero-allocation steady-state replay, the scrub canary,
 // the single-logical-allocation arena accounting, the ledger `plan`
 // event, and Score() spreading windows across plan lanes (bitwise equal to
-// a spelled-out serial pipeline at 1/2/4 threads).
+// a spelled-out serial pipeline at 1/2/4 threads; sticky int8 demotion).
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -74,10 +74,11 @@ data::TimeSeries TinySignal(std::int64_t length, std::int64_t features,
   return data::GenerateBaseSignal(signal);
 }
 
-// Two identically fitted detectors: .first scores through the plan, .second
-// is the eager reference. Fit is deterministic for a fixed (data, config,
-// seed), so both hold bitwise-equal weights and rng states; scoring call #k
-// on one is comparable to call #k on the other.
+// Two identically fitted detectors: .planned scores through the plan,
+// .eager is the eager reference (scored through EagerScore). Fit is
+// deterministic for a fixed (data, config, seed), so both hold bitwise-equal
+// weights and rng states; scoring call #k on one is comparable to call #k on
+// the other.
 struct Twins {
   std::unique_ptr<TfmaeDetector> planned;
   std::unique_ptr<TfmaeDetector> eager;
@@ -87,11 +88,19 @@ Twins FitTwins(const data::TimeSeries& train, const TfmaeConfig& config) {
   Twins twins;
   twins.planned = std::make_unique<TfmaeDetector>(config);
   twins.eager = std::make_unique<TfmaeDetector>(config);
-  twins.planned->SetInferencePlanEnabled(true);
-  twins.eager->SetInferencePlanEnabled(false);
   twins.planned->Fit(train);
   twins.eager->Fit(train);
   return twins;
+}
+
+// Scores on the eager path: every capture fails, so the call takes the
+// scoring path's serial eager fallback (core/plan_lanes.h).
+std::vector<float> EagerScore(TfmaeDetector* detector,
+                              const data::TimeSeries& series) {
+  fault::ScopedFaults faults("infer.plan.capture:1.0");
+  std::vector<float> scores = detector->Score(series);
+  EXPECT_EQ(detector->inference_plan(), nullptr);
+  return scores;
 }
 
 void ExpectBitwiseEqual(const std::vector<float>& a,
@@ -118,7 +127,7 @@ TEST(InferencePlanTest, BitwiseMatchesEagerOnAllProfilesAtAllThreadCounts) {
     for (const int threads : {1, 2, 4}) {
       ThreadPool::Instance().SetNumThreads(threads);
       const std::vector<float> planned = twins.planned->Score(test);
-      const std::vector<float> eager = twins.eager->Score(test);
+      const std::vector<float> eager = EagerScore(twins.eager.get(), test);
       ASSERT_NE(twins.planned->inference_plan(), nullptr)
           << data::DatasetName(dataset) << " fell back to eager scoring";
       EXPECT_EQ(twins.planned->plan_capture_failures(), 0);
@@ -145,7 +154,6 @@ TEST(InferencePlanTest, CapturesAfterCheckpointRoundTrip) {
 
   TfmaeDetector planned(TinyConfig());
   TfmaeDetector eager(TinyConfig());
-  eager.SetInferencePlanEnabled(false);
   ASSERT_TRUE(planned.LoadCheckpoint(prefix));
   ASSERT_TRUE(eager.LoadCheckpoint(prefix));
   for (const char* suffix : {".config", ".norm", ".weights"}) {
@@ -154,7 +162,7 @@ TEST(InferencePlanTest, CapturesAfterCheckpointRoundTrip) {
   }
 
   const std::vector<float> planned_scores = planned.Score(test);
-  const std::vector<float> eager_scores = eager.Score(test);
+  const std::vector<float> eager_scores = EagerScore(&eager, test);
   ASSERT_NE(planned.inference_plan(), nullptr);
   ExpectBitwiseEqual(planned_scores, eager_scores, "checkpoint resume");
 }
@@ -170,13 +178,13 @@ TEST(InferencePlanTest, RecapturesWhenWindowGeometryChanges) {
   Twins twins = FitTwins(train, TinyConfig());
 
   ExpectBitwiseEqual(twins.planned->Score(long_test),
-                     twins.eager->Score(long_test), "long series");
+                     EagerScore(twins.eager.get(), long_test), "long series");
   ASSERT_NE(twins.planned->inference_plan(), nullptr);
   const std::int64_t long_arena =
       twins.planned->inference_plan()->stats().arena_bytes;
 
   ExpectBitwiseEqual(twins.planned->Score(short_test),
-                     twins.eager->Score(short_test), "short series");
+                     EagerScore(twins.eager.get(), short_test), "short series");
   ASSERT_NE(twins.planned->inference_plan(), nullptr);
   EXPECT_NE(twins.planned->inference_plan()->stats().arena_bytes, long_arena)
       << "geometry change did not trigger a re-capture";
@@ -196,13 +204,13 @@ TEST(InferencePlanTest, InjectedCaptureFaultFallsBackToEager) {
   const std::vector<float> faulted = twins.planned->Score(test);
   EXPECT_EQ(twins.planned->inference_plan(), nullptr);
   EXPECT_EQ(twins.planned->plan_capture_failures(), 1);
-  ExpectBitwiseEqual(faulted, twins.eager->Score(test), "faulted call");
+  ExpectBitwiseEqual(faulted, EagerScore(twins.eager.get(), test), "faulted call");
 
   // The occurrence trigger is spent: the second call captures a real plan.
   const std::vector<float> recovered = twins.planned->Score(test);
   ASSERT_NE(twins.planned->inference_plan(), nullptr);
   EXPECT_EQ(twins.planned->plan_capture_failures(), 1);
-  ExpectBitwiseEqual(recovered, twins.eager->Score(test), "recovered call");
+  ExpectBitwiseEqual(recovered, EagerScore(twins.eager.get(), test), "recovered call");
 }
 
 // Steady-state replay performs zero tensor allocations: no MemoryStats
@@ -426,9 +434,9 @@ TEST(InferencePlanLanesTest, ScoreMatchesSerialReferenceOnAllProfiles) {
       ASSERT_NE(detector.inference_plan(), nullptr) << what;
       EXPECT_EQ(detector.plan_capture_failures(), 0) << what;
       ExpectBitwiseEqual(scores, reference, what);
-      // The first call's window 0 is the capture window, scored eagerly.
+      // Every window replays, the capture call's window 0 included.
       EXPECT_EQ(detector.inference_plan()->stats().replays - replays_before,
-                threads == 1 ? windows - 1 : windows)
+                windows)
           << what;
     }
   }
@@ -518,7 +526,7 @@ TEST(InferencePlanLanesTest, Int8ScoreIsThreadCountInvariant) {
     detector.Fit(train);
     detector.SetQuantSpec(fitted.quant_spec());
     detector.SetQuantMode(TfmaeDetector::QuantMode::kInt8);
-    detector.Score(test);  // captures; window 0 is the eager capture window
+    detector.Score(test);  // captures
     const std::vector<float> scores = detector.Score(test);
     ASSERT_NE(detector.inference_plan(), nullptr);
     EXPECT_TRUE(detector.inference_plan()->stats().quantized);
@@ -555,6 +563,39 @@ TEST(InferencePlanLanesTest, InjectedCaptureFaultFallsBackAtAnyThreadCount) {
     ExpectBitwiseEqual(detector.Score(test), reference, what + " recovered");
     EXPECT_NE(detector.inference_plan(), nullptr) << what;
   }
+}
+
+// A failed quantized capture demotes the detector's lanes to fp32 for good:
+// the next call neither retries int8 nor counts another fallback, and both
+// score exactly like the fp32 pipeline. A quant-mode change lifts it.
+TEST(InferencePlanLanesTest, QuantCaptureFaultDemotionIsSticky) {
+  EnvGuard guard;
+  const TfmaeConfig config = LaneConfig();
+  const data::TimeSeries train = TinySignal(192, 2, 93);
+  const data::TimeSeries test = TinySignal(96, 2, 94);
+  TfmaeDetector detector(config);
+  detector.Fit(train);
+  ASSERT_TRUE(detector.Calibrate(train));
+  detector.SetQuantMode(TfmaeDetector::QuantMode::kInt8);
+  const std::vector<float> reference =
+      SerialReferenceScore(detector, test, nullptr);
+  ThreadPool::Instance().SetNumThreads(4);
+  {
+    fault::ScopedFaults faults("infer.quant.capture:1.0");
+    for (int call = 0; call < 2; ++call) {
+      const std::string what = "demoted call " + std::to_string(call);
+      ExpectBitwiseEqual(detector.Score(test), reference, what);
+      ASSERT_NE(detector.inference_plan(), nullptr) << what;
+      EXPECT_FALSE(detector.inference_plan()->stats().quantized) << what;
+      EXPECT_EQ(detector.quant_fallbacks(), 1) << what;
+    }
+  }
+  detector.SetQuantMode(TfmaeDetector::QuantMode::kOff);
+  detector.SetQuantMode(TfmaeDetector::QuantMode::kInt8);
+  detector.Score(test);
+  ASSERT_NE(detector.inference_plan(), nullptr);
+  EXPECT_TRUE(detector.inference_plan()->stats().quantized);
+  EXPECT_EQ(detector.quant_fallbacks(), 1);
 }
 
 // Extra lanes are replicas of one capture: the ledger carries one `plan`

@@ -18,6 +18,7 @@
 #include "core/detector.h"
 #include "core/streaming.h"
 #include "serve/fleet_server.h"
+#include "util/fault.h"
 #include "util/thread_pool.h"
 
 namespace tfmae::serve {
@@ -39,25 +40,29 @@ core::TfmaeConfig TestConfig() {
   return config;
 }
 
+data::TimeSeries TrainSeries() {
+  data::TimeSeries train;
+  train.length = 256;
+  train.num_features = kFeatures;
+  train.values.resize(
+      static_cast<std::size_t>(train.length * train.num_features));
+  for (std::int64_t t = 0; t < train.length; ++t) {
+    for (std::int64_t f = 0; f < kFeatures; ++f) {
+      train.values[static_cast<std::size_t>(t * kFeatures + f)] =
+          std::sin(0.19 * static_cast<double>(t) +
+                   0.7 * static_cast<double>(f)) +
+          0.05 * std::cos(0.83 * static_cast<double>(t));
+    }
+  }
+  return train;
+}
+
 // One fitted detector shared by every test in the suite (training once
 // keeps the suite fast; all tests treat it as read-only).
 core::TfmaeDetector* SharedDetector() {
   static core::TfmaeDetector* detector = [] {
     auto* d = new core::TfmaeDetector(TestConfig());
-    data::TimeSeries train;
-    train.length = 256;
-    train.num_features = kFeatures;
-    train.values.resize(
-        static_cast<std::size_t>(train.length * train.num_features));
-    for (std::int64_t t = 0; t < train.length; ++t) {
-      for (std::int64_t f = 0; f < kFeatures; ++f) {
-        train.values[static_cast<std::size_t>(t * kFeatures + f)] =
-            std::sin(0.19 * static_cast<double>(t) +
-                     0.7 * static_cast<double>(f)) +
-            0.05 * std::cos(0.83 * static_cast<double>(t));
-      }
-    }
-    d->Fit(train);
+    d->Fit(TrainSeries());
     return d;
   }();
   return detector;
@@ -339,33 +344,81 @@ TEST(FleetServeTest, DrainLosesNoAdmittedWindow) {
   EXPECT_EQ(static_cast<std::int64_t>(server.TakeResults().size()), enqueued);
 }
 
-TEST(FleetServeTest, EagerModeMatchesSequentialToo) {
-  // Plan disabled: the batcher's serial-eager fallback path must preserve
-  // the same bitwise guarantee (eager == planned by the PR 6 contract).
-  const auto reference = SequentialReference(3, 30);
-  core::TfmaeDetector* detector = SharedDetector();
-  const bool was_enabled = detector->inference_plan_enabled();
-  detector->SetInferencePlanEnabled(false);
+// Pushes rows [0, rows) of `streams` streams through a fresh server on
+// `detector` and drains it.
+ServeStats RunFleet(core::TfmaeDetector* detector, std::int64_t streams,
+                    std::int64_t rows,
+                    std::vector<std::vector<float>>* scores) {
   FleetOptions options;
   options.streaming = TestStreaming();
+  options.batch_max = 4;
   FleetServer server(detector, options);
-  for (std::int64_t s = 0; s < 3; ++s) server.OpenStream();
-  for (std::int64_t t = 0; t < 30; ++t) {
-    for (std::int64_t s = 0; s < 3; ++s) {
-      ASSERT_NE(server.Push(s, RowFor(s, t)), AdmitStatus::kOverloaded);
+  for (std::int64_t s = 0; s < streams; ++s) server.OpenStream();
+  for (std::int64_t t = 0; t < rows; ++t) {
+    for (std::int64_t s = 0; s < streams; ++s) {
+      EXPECT_NE(server.Push(s, RowFor(s, t)), AdmitStatus::kOverloaded);
     }
   }
   server.Drain();
-  detector->SetInferencePlanEnabled(was_enabled);
-  const auto scores = CollectScores(&server, 3);
-  EXPECT_GT(server.stats().eager_windows, 0);
-  EXPECT_EQ(server.stats().plan_lanes, 0);
+  *scores = CollectScores(&server, streams);
+  return server.stats();
+}
+
+TEST(FleetServeTest, CaptureFaultScoresEagerlyAndMatchesSequential) {
+  // Every lane capture fails: each batch takes the shared path's serial
+  // eager fallback, which must keep the bitwise guarantee (eager ==
+  // planned by the capture-time self-verification).
+  const auto reference = SequentialReference(3, 30);
+  ThreadPool::Instance().SetNumThreads(4);
+  std::vector<std::vector<float>> scores;
+  ServeStats stats;
+  {
+    fault::ScopedFaults faults("infer.plan.capture:1.0");
+    stats = RunFleet(SharedDetector(), 3, 30, &scores);
+  }
+  ThreadPool::Instance().SetNumThreads(1);
+  EXPECT_GT(stats.eager_windows, 0);
+  EXPECT_EQ(stats.eager_windows, stats.windows_scored);
+  EXPECT_EQ(stats.plan_lanes, 0);
   for (std::int64_t s = 0; s < 3; ++s) {
     ASSERT_EQ(scores[s].size(), reference[s].size());
     for (std::size_t i = 0; i < scores[s].size(); ++i) {
       EXPECT_EQ(scores[s][i], reference[s][i]) << "s=" << s << " i=" << i;
     }
   }
+}
+
+TEST(FleetServeTest, Int8CaptureFaultDemotesEveryLaneToFp32) {
+  // One failed int8 capture demotes the server's whole lane set to fp32
+  // for good: no batch mixes precisions, later lane growth captures fp32,
+  // and the demotion counts once.
+  core::TfmaeDetector detector(TestConfig());
+  detector.Fit(TrainSeries());
+  ASSERT_TRUE(detector.Calibrate(TrainSeries()));
+  detector.SetQuantMode(core::TfmaeDetector::QuantMode::kInt8);
+  ThreadPool::Instance().SetNumThreads(4);
+  std::vector<std::vector<float>> int8_scores;
+  const ServeStats int8 = RunFleet(&detector, 3, 30, &int8_scores);
+  EXPECT_GT(int8.quant_lanes, 0) << "the unfaulted server must run int8";
+  EXPECT_EQ(int8.quant_fallbacks, 0);
+
+  std::vector<std::vector<float>> demoted_scores;
+  ServeStats demoted;
+  {
+    fault::ScopedFaults faults("infer.quant.capture:#1");
+    demoted = RunFleet(&detector, 3, 30, &demoted_scores);
+  }
+  EXPECT_EQ(demoted.quant_fallbacks, 1);
+  EXPECT_EQ(demoted.quant_lanes, 0);
+  EXPECT_GT(demoted.plan_lanes, 1);
+  EXPECT_EQ(demoted.eager_windows, 0);
+
+  detector.SetQuantMode(core::TfmaeDetector::QuantMode::kOff);
+  std::vector<std::vector<float>> fp32_scores;
+  RunFleet(&detector, 3, 30, &fp32_scores);
+  ThreadPool::Instance().SetNumThreads(1);
+  EXPECT_EQ(demoted_scores, fp32_scores)
+      << "a demoted int8 server must score exactly like an fp32 one";
 }
 
 TEST(FleetServeTest, HealthAndSyncResultsMatchSequentialInLockstep) {

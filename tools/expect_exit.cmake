@@ -1,6 +1,6 @@
 # Runs `${BIN} ${ARG}` and fails unless it exits with ${EXIT_CODE} and
 # prints "usage:" on ${STREAM} (stdout or stderr). Used by the tfmae_serve
-# flag-parsing ctest cases:
+# and tfmae_report flag-parsing ctest cases:
 #   cmake -DBIN=... -DARG=--help -DEXIT_CODE=0 -DSTREAM=stdout -P expect_exit.cmake
 execute_process(COMMAND ${BIN} ${ARG}
                 RESULT_VARIABLE code

@@ -12,43 +12,43 @@
 //
 // A crashed run's "<path>.partial" is picked up automatically when the
 // sealed file does not exist; the report marks such runs "UNSEALED prefix".
-// Exit status: 0 on success, 1 on usage error or an unreadable ledger.
+// Flag parsing is strict (tools/flags.h). Exit status: 0 on success and for
+// --help; 2 with usage on stderr for an unknown flag, a malformed value or
+// not one or two ledgers; 1 for an unreadable ledger.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "obs/ledger.h"
 #include "obs/report.h"
 
-namespace {
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: tfmae_report [--no-timing] [--epochs=N] LEDGER "
-               "[LEDGER_B]\n");
-  return 1;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  tfmae::obs::ReportOptions options;
+  bool no_timing = false;
+  std::int64_t epochs = 0;
+  const std::vector<tfmae::tools::Flag> flags = {
+      {"no-timing", &no_timing},
+      {"epochs", &epochs},
+  };
+  const tfmae::tools::Usage usage = {"tfmae_report", "LEDGER [LEDGER_B]", ""};
   std::vector<std::string> paths;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--no-timing") {
-      options.show_timing = false;
-    } else if (arg.rfind("--epochs=", 0) == 0) {
-      options.max_epoch_rows = std::atoi(arg.c_str() + 9);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "tfmae_report: unknown flag %s\n", arg.c_str());
-      return Usage();
-    } else {
-      paths.push_back(arg);
-    }
+  if (const std::optional<int> exit_code =
+          tfmae::tools::ParseFlags(argc, argv, usage, flags, &paths)) {
+    return *exit_code;
   }
-  if (paths.empty() || paths.size() > 2) return Usage();
+  if (paths.empty() || paths.size() > 2) {
+    std::fprintf(stderr, "tfmae_report: expected one or two ledgers\n");
+    tfmae::tools::PrintUsage(stderr, usage, flags);
+    return 2;
+  }
+  tfmae::obs::ReportOptions options;
+  options.show_timing = !no_timing;
+  options.max_epoch_rows = static_cast<int>(
+      std::min<std::int64_t>(epochs, std::numeric_limits<int>::max()));
 
   std::vector<tfmae::obs::LedgerFile> ledgers;
   for (const std::string& path : paths) {

@@ -86,15 +86,11 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "core/detector.h"
@@ -102,6 +98,7 @@
 #include "core/streaming.h"
 #include "data/generator.h"
 #include "data/io.h"
+#include "flags.h"
 #include "obs/export.h"
 #include "obs/http_endpoint.h"
 #include "obs/prom_export.h"
@@ -113,96 +110,12 @@
 
 namespace {
 
+using tfmae::tools::Flag;
+using tfmae::tools::ParseCount;
+
 volatile std::sig_atomic_t g_stop = 0;
 
 void HandleStop(int) { g_stop = 1; }
-
-// One accepted flag: `--name=value` for a count, number or string target,
-// bare `--name` for a switch.
-struct Flag {
-  const char* name;
-  std::variant<std::int64_t*, double*, const char**, bool*> target;
-};
-
-void PrintUsage(std::FILE* out, const std::vector<Flag>& flags) {
-  std::fprintf(out, "usage: tfmae_serve [flags]\n");
-  for (const Flag& flag : flags) {
-    // Indexed like Flag::target's alternatives.
-    static const char* const kValue[] = {"=N", "=X", "=VALUE", ""};
-    std::fprintf(out, "  --%s%s\n", flag.name, kValue[flag.target.index()]);
-  }
-  std::fprintf(out,
-               "  --help\n"
-               "plus --obs_json=PATH --obs_trace=PATH --obs_text --ledger=PATH "
-               "--flight_recorder=PATH (docs/OBSERVABILITY.md)\n");
-}
-
-// A non-negative decimal integer, all of `text`.
-bool ParseCount(const char* text, std::int64_t* out) {
-  if (text[0] < '0' || text[0] > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(text, &end, 10);
-  if (*end != '\0' || errno == ERANGE) return false;
-  *out = value;
-  return true;
-}
-
-// A finite decimal number, all of `text`.
-bool ParseNumber(const char* text, double* out) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(value)) return false;
-  *out = value;
-  return true;
-}
-
-// Parses argv strictly against `flags`: an unknown flag, a stray argument,
-// or a malformed value prints usage to stderr and yields exit status 2;
-// --help prints usage to stdout and yields 0. Returns nothing when serving
-// should go ahead.
-std::optional<int> ParseFlags(int argc, char** argv,
-                              const std::vector<Flag>& flags) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help") {
-      PrintUsage(stdout, flags);
-      return 0;
-    }
-    const std::size_t eq = arg.find('=');
-    const std::string_view name = arg.substr(0, eq);
-    const char* value =
-        eq == std::string_view::npos ? nullptr : argv[i] + eq + 1;
-    const auto flag =
-        std::find_if(flags.begin(), flags.end(), [&](const Flag& f) {
-          return name.substr(0, 2) == "--" && name.substr(2) == f.name;
-        });
-    if (flag == flags.end()) {
-      std::fprintf(stderr, "tfmae_serve: unknown argument '%s'\n", argv[i]);
-      PrintUsage(stderr, flags);
-      return 2;
-    }
-    bool ok = true;
-    if (bool* const* on = std::get_if<bool*>(&flag->target)) {
-      ok = value == nullptr;
-      **on = true;
-    } else if (value == nullptr || value[0] == '\0') {
-      ok = false;
-    } else if (auto* count = std::get_if<std::int64_t*>(&flag->target)) {
-      ok = ParseCount(value, *count);
-    } else if (auto* number = std::get_if<double*>(&flag->target)) {
-      ok = ParseNumber(value, *number);
-    } else {
-      *std::get<const char**>(flag->target) = value;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "tfmae_serve: bad value in '%s'\n", argv[i]);
-      PrintUsage(stderr, flags);
-      return 2;
-    }
-  }
-  return std::nullopt;
-}
 
 // One deterministic replay row: stream `s` reads the shared series at a
 // per-stream phase offset, so streams are decorrelated but reproducible.
@@ -312,7 +225,12 @@ int main(int argc, char** argv) {
       {"drift_threshold", &drift_threshold},
       {"drain_linger_ms", &drain_linger_ms},
   };
-  if (const std::optional<int> exit_code = ParseFlags(argc, argv, flags)) {
+  const tfmae::tools::Usage usage = {
+      "tfmae_serve", "",
+      "plus --obs_json=PATH --obs_trace=PATH --obs_text --ledger=PATH "
+      "--flight_recorder=PATH (docs/OBSERVABILITY.md)\n"};
+  if (const std::optional<int> exit_code =
+          tfmae::tools::ParseFlags(argc, argv, usage, flags)) {
     return *exit_code;
   }
   if (quant_flag != nullptr && std::strcmp(quant_flag, "int8") != 0 &&
